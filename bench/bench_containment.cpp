@@ -6,8 +6,9 @@
 //
 // Besides the Google Benchmark counters, a JSON report compares the
 // interned-IR Proposition 1 path (filter_contained — predicates normalized
-// once at intern time) against the preserved legacy string path
-// (filter_contained_legacy — re-normalizes every value on every check).
+// once at intern time) against the legacy string path from the oracle
+// library (oracles::filter_contained_legacy — re-normalizes every value on
+// every check).
 //
 // Usage: bench_containment [--json=PATH] [benchmark flags]
 
@@ -26,6 +27,7 @@
 #include "json_report.h"
 #include "ldap/filter_ir.h"
 #include "ldap/filter_parser.h"
+#include "oracles/legacy_containment.h"
 #include "replica/filter_replica.h"
 
 namespace {
@@ -45,9 +47,13 @@ std::shared_ptr<ldap::TemplateRegistry> registry() {
   return r;
 }
 
+/// Proposition 3 over pre-interned IR, as ContainmentEngine runs it for
+/// stored filters that keep their IR.
 void BM_SameTemplateContainment(benchmark::State& state) {
-  const FilterPtr inner = parse_filter("(serialnumber=0412*)");
-  const FilterPtr outer = parse_filter("(serialnumber=04*)");
+  ldap::FilterInterner& interner =
+      ldap::FilterInterner::for_schema(ldap::Schema::default_instance());
+  const ldap::FilterIrPtr inner = interner.intern(parse_filter("(serialnumber=0412*)"));
+  const ldap::FilterIrPtr outer = interner.intern(parse_filter("(serialnumber=04*)"));
   for (auto _ : state) {
     benchmark::DoNotOptimize(containment::same_template_contained(*inner, *outer));
   }
@@ -175,7 +181,7 @@ double time_ns_per_check(const Check& check) {
 
 /// Compares Proposition 1 over pre-interned IR nodes (values normalized
 /// once at intern time, canonical children pre-sorted — the steady state for
-/// stored filters, which keep their IR) against the preserved legacy
+/// stored filters, which keep their IR) against the oracle's legacy
 /// expansion that re-normalizes from the raw AST on every check.
 bench::JsonValue ir_vs_legacy_report() {
   const ldap::Schema& schema = ldap::Schema::default_instance();
@@ -188,7 +194,7 @@ bench::JsonValue ir_vs_legacy_report() {
     const ldap::FilterIrPtr inner_ir = interner.intern(inner);
     const ldap::FilterIrPtr outer_ir = interner.intern(outer);
     const bool verdict = containment::filter_contained(*inner_ir, *outer_ir, schema);
-    if (verdict != containment::filter_contained_legacy(*inner, *outer, schema)) {
+    if (verdict != oracles::filter_contained_legacy(*inner, *outer, schema)) {
       std::fprintf(stderr, "verdict mismatch on %s\n", c.name);
       std::exit(1);
     }
@@ -196,7 +202,7 @@ bench::JsonValue ir_vs_legacy_report() {
       return containment::filter_contained(*inner_ir, *outer_ir, schema);
     });
     const double legacy_ns = time_ns_per_check([&] {
-      return containment::filter_contained_legacy(*inner, *outer, schema);
+      return oracles::filter_contained_legacy(*inner, *outer, schema);
     });
     std::printf("%s %.1f %.1f %.2f\n", c.name, ir_ns, legacy_ns,
                 legacy_ns / ir_ns);

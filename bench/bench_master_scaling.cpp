@@ -2,24 +2,23 @@
 // hot path the change-routing index, compiled filter evaluation and the
 // sharded multi-threaded pump (DESIGN.md §13) optimize.
 //
-// Evaluation modes over the same update mix and session population:
-//   legacy    — exhaustive per-record x per-session fan-out, AST-walking
-//               filter evaluation (the pre-optimization master),
-//   compiled  — exhaustive fan-out, compiled filter programs,
-//   routed    — ChangeRouter candidate pruning + compiled programs + shared
-//               normalized-value cache (the default configuration), swept
-//               across --shards= x --threads= pump configurations.
+// Modes over the same update mix and session population:
+//   exhaustive — the oracle fan-out (oracles/exhaustive_fanout.h): every
+//                record fed to every session, compiled filter programs,
+//   routed     — the ReSyncMaster pump: ChangeRouter candidate pruning +
+//                compiled programs + shared normalized-value cache, swept
+//                across --shards= x --threads= pump configurations.
 //
-// The exhaustive modes are O(records x sessions) by construction, so they
-// only run at session counts up to --exhaustive-cap (default 1000); the
-// routed sweeps carry the ladder to 10k-100k sessions. Sessions replicate
+// The exhaustive mode is O(records x sessions) by construction, so it only
+// runs at session counts up to --exhaustive-cap (default 1000); the routed
+// sweeps carry the ladder to 10k-100k sessions. Sessions replicate
 // attribute-selective department filters (departmentnumber=NNNN), the
 // workload of §7.3b. Reported: pump cost per journaled change (ns) and
 // sustained change throughput per configuration, the router's candidate
-// statistics, a routed-vs-legacy speedup at the largest exhaustive rung and
-// a parallel_speedup_vs_serial series against the serial routed baseline
+// statistics, a routed-vs-exhaustive speedup at the largest exhaustive rung
+// and a parallel_speedup_vs_serial series against the serial routed baseline
 // (shards=1, threads=0). Results are written as a JSON report for CI
-// (scripts/bench_smoke.sh); --min-speedup gates the routed/legacy edge and
+// (scripts/bench_smoke.sh); --min-speedup gates the routed/exhaustive edge and
 // --min-parallel-speedup gates the threaded speedup at 4 threads — the
 // latter is hardware-aware: on hosts with fewer than 4 cores the gate is
 // skipped loudly (and recorded in the JSON) instead of failing on hardware
@@ -42,6 +41,7 @@
 
 #include "common.h"
 #include "json_report.h"
+#include "oracles/exhaustive_fanout.h"
 #include "resync/master.h"
 
 namespace {
@@ -132,108 +132,118 @@ int main(int argc, char** argv) {
 
   bench::print_banner(
       "master_scaling",
-      "pump() ns/change vs session count; legacy / compiled / routed x "
-      "shards x threads");
+      "pump() ns/change vs session count; exhaustive / routed x shards x "
+      "threads");
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("# hardware_concurrency: %u\n", hw_threads);
 
-  // One measured pump run: build a master in the given configuration, fill
-  // the session population, then pump the shared churn stream through it.
-  const auto run = [&](const char* mode, std::size_t session_count,
-                       std::size_t shards, std::size_t threads) {
-    resync::ReSyncMaster master(*dir.master);
-    const bool legacy = std::strcmp(mode, "legacy") == 0;
-    const bool routed = std::strcmp(mode, "routed") == 0;
-    master.set_change_routing(routed);
-    master.set_pump_shards(shards);
-    master.set_pump_threads(threads);
+  const auto session_query = [&](std::size_t i) {
+    return ldap::Query::parse(
+        "o=ibm", ldap::Scope::Subtree,
+        "(departmentnumber=" + depts[i % depts.size()] + ")");
+  };
 
-    for (std::size_t i = 0; i < session_count; ++i) {
-      const ldap::Query query = ldap::Query::parse(
-          "o=ibm", ldap::Scope::Subtree,
-          "(departmentnumber=" + depts[i % depts.size()] + ")");
-      master.handle(query, {resync::Mode::Poll, ""});
-    }
-    // Flip after the initial fills so session setup does not pay the AST
-    // walker; only pump() is being compared.
-    master.set_legacy_eval(legacy);
-
-    const auto routing_before = master.routing_stats();
+  // Pumps the shared churn stream into a filled session population, timing
+  // only the pumps. `result` must already name its configuration.
+  const auto time_pumps = [&](RunResult& result, const auto& pump) {
     std::uint64_t pump_ns = 0;
     std::size_t applied = 0;
     const std::size_t batch = 100;
     while (applied < options.updates) {
       updates.apply(batch);
       const auto start = Clock::now();
-      master.pump();
+      pump();
       pump_ns += static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                start)
               .count());
       applied += batch;
     }
-
-    RunResult result;
-    result.mode = mode;
-    result.sessions = session_count;
-    result.shards = shards;
-    result.threads = threads;
     result.ns_per_change =
         static_cast<double>(pump_ns) / static_cast<double>(applied);
     result.changes_per_sec =
         1e9 * static_cast<double>(applied) / static_cast<double>(pump_ns);
+    bench::print_row("pump_ns_per_change_" + run_label(result),
+                     static_cast<double>(result.sessions), result.ns_per_change);
+  };
+
+  const auto run_exhaustive = [&](std::size_t session_count) {
+    oracles::ExhaustiveFanout fanout(*dir.master);
+    for (std::size_t i = 0; i < session_count; ++i) {
+      fanout.open(session_query(i), resync::Mode::Poll);
+    }
+    RunResult result;
+    result.mode = "exhaustive";
+    result.sessions = session_count;
+    time_pumps(result, [&] { fanout.pump(); });
+    return result;
+  };
+
+  const auto run_routed = [&](std::size_t session_count, std::size_t shards,
+                              std::size_t threads) {
+    resync::ReSyncMaster master(*dir.master);
+    master.set_pump_shards(shards);
+    master.set_pump_threads(threads);
+    for (std::size_t i = 0; i < session_count; ++i) {
+      master.handle(session_query(i), {resync::Mode::Poll, ""});
+    }
+    const auto routing_before = master.routing_stats();
+    RunResult result;
+    result.mode = "routed";
+    result.sessions = session_count;
+    result.shards = shards;
+    result.threads = threads;
+    time_pumps(result, [&] { master.pump(); });
     result.candidates =
         master.routing_stats().candidates - routing_before.candidates;
     result.exhaustive =
         master.routing_stats().exhaustive - routing_before.exhaustive;
-    bench::print_row("pump_ns_per_change_" + run_label(result),
-                     static_cast<double>(session_count), result.ns_per_change);
     return result;
   };
 
   std::vector<RunResult> results;
   for (const std::size_t session_count : options.sessions) {
-    // Exhaustive baselines are O(records x sessions): past the cap a single
-    // legacy run would dwarf the whole sweep, so they stop at the cap and
-    // the routed configurations carry the ladder alone.
+    // The exhaustive baseline is O(records x sessions): past the cap a
+    // single run would dwarf the whole sweep, so it stops at the cap and the
+    // routed configurations carry the ladder alone.
     if (session_count <= options.exhaustive_cap) {
-      results.push_back(run("legacy", session_count, 1, 0));
-      results.push_back(run("compiled", session_count, 1, 0));
+      results.push_back(run_exhaustive(session_count));
     } else {
-      std::printf("# exhaustive modes skipped at %zu sessions (cap %zu)\n",
+      std::printf("# exhaustive mode skipped at %zu sessions (cap %zu)\n",
                   session_count, options.exhaustive_cap);
     }
     // Serial routed baseline: the reference the parallel sweeps are
     // measured against.
-    results.push_back(run("routed", session_count, 1, 0));
+    results.push_back(run_routed(session_count, 1, 0));
     for (const std::size_t shards : options.shards) {
       for (const std::size_t threads : options.threads) {
         if (shards == 1 && threads == 0) continue;  // that IS the baseline
-        results.push_back(run("routed", session_count, shards, threads));
+        results.push_back(run_routed(session_count, shards, threads));
       }
     }
   }
 
-  // Routed-vs-legacy speedup (per exhaustive rung, serial configurations).
+  // Routed-vs-exhaustive speedup (per exhaustive rung, serial
+  // configurations).
   double speedup_at_max = 0.0;
-  std::size_t max_legacy_sessions = 0;
+  std::size_t max_exhaustive_sessions = 0;
   for (const std::size_t session_count : options.sessions) {
-    double legacy_ns = 0.0;
+    double exhaustive_ns = 0.0;
     double routed_ns = 0.0;
     for (const RunResult& result : results) {
       if (result.sessions != session_count) continue;
-      if (result.mode == "legacy") legacy_ns = result.ns_per_change;
+      if (result.mode == "exhaustive") exhaustive_ns = result.ns_per_change;
       if (result.mode == "routed" && result.shards == 1 && result.threads == 0) {
         routed_ns = result.ns_per_change;
       }
     }
-    if (legacy_ns == 0.0) continue;
-    const double speedup = routed_ns > 0.0 ? legacy_ns / routed_ns : 0.0;
-    bench::print_row("routed_speedup_vs_legacy",
+    if (exhaustive_ns == 0.0) continue;
+    const double speedup = routed_ns > 0.0 ? exhaustive_ns / routed_ns : 0.0;
+    bench::print_row("routed_speedup_vs_exhaustive",
                      static_cast<double>(session_count), speedup);
-    if (session_count >= max_legacy_sessions) {
-      max_legacy_sessions = session_count;
+    if (session_count >= max_exhaustive_sessions) {
+      max_exhaustive_sessions = session_count;
       speedup_at_max = speedup;
     }
   }
@@ -316,18 +326,18 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(options.sessions.empty()
                                             ? 0
                                             : options.sessions.back()));
-  report.set("routed_speedup_vs_legacy_at_max_sessions", speedup_at_max);
+  report.set("routed_speedup_vs_exhaustive_at_max_sessions", speedup_at_max);
 
   int exit_code = 0;
   if (options.min_speedup > 0.0 && speedup_at_max < options.min_speedup) {
     std::fprintf(stderr,
                  "FAIL: routed pump speedup %.2fx at %zu sessions is below "
                  "the required %.2fx\n",
-                 speedup_at_max, max_legacy_sessions, options.min_speedup);
+                 speedup_at_max, max_exhaustive_sessions, options.min_speedup);
     exit_code = 1;
   } else if (options.min_speedup > 0.0) {
     std::printf("# routed speedup at %zu sessions: %.2fx (gate %.2fx)\n",
-                max_legacy_sessions, speedup_at_max, options.min_speedup);
+                max_exhaustive_sessions, speedup_at_max, options.min_speedup);
   }
 
   if (options.min_parallel_speedup > 0.0) {

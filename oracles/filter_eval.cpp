@@ -1,11 +1,19 @@
-#include "ldap/filter_eval.h"
+#include "oracles/filter_eval.h"
 
 #include <algorithm>
 
 #include "ldap/error.h"
-#include "ldap/text.h"
 
-namespace fbdr::ldap {
+namespace fbdr::oracles {
+
+using ldap::Entry;
+using ldap::Filter;
+using ldap::FilterKind;
+using ldap::FilterPtr;
+using ldap::OperationError;
+using ldap::ResultCode;
+using ldap::Schema;
+using ldap::SubstringPattern;
 
 bool matches_predicate(const Filter& predicate, const Entry& entry,
                        const Schema& schema) {
@@ -75,4 +83,4 @@ bool matches(const Filter& filter, const Entry& entry, const Schema& schema) {
   }
 }
 
-}  // namespace fbdr::ldap
+}  // namespace fbdr::oracles

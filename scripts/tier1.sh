@@ -2,7 +2,8 @@
 # Tier-1 gate: the plain build + full test suite, then an ASan/UBSan build
 # running the chaos/soak test (the faulty-transport paths are where memory
 # bugs would hide — duplicated in-flight requests, replay caches, session
-# teardown on master reset), then a TSan build running the threaded
+# teardown on master reset) and the oracle-backed filter, containment and
+# equivalence suites, then a TSan build running the threaded
 # shard-equivalence and chaos suites (the sharded pump is where races would
 # hide — shard-local state crossing a shard boundary, the pump-pool barrier),
 # then the socket loopback suites under ASan with a hard timeout (stream
@@ -30,10 +31,11 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       server_ldif_roundtrip_test resync_governor_test sync_compaction_test \
       resync_overload_test resync_reconcile_test \
       resync_shard_equivalence_test bench_common_test \
+      ldap_filter_eval_test containment_filter_test containment_property_test \
       wire_roundtrip_test wire_fuzz_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
+      -R 'ReSyncChaos|ServiceDegradation|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|FilterEval|FilterContainment|PredicateContained|SameTemplateContained|ContainmentProperty|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes
@@ -63,7 +65,7 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
       -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos'
 
-echo "== tier 1: bench smoke (routed pump >2x legacy; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
+echo "== tier 1: bench smoke (routed pump >2x exhaustive fan-out; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2
 
 echo "tier 1: OK"

@@ -147,109 +147,6 @@ std::vector<Conjunct> predicate_dnf(const FilterIr& p, bool negated,
   return out;
 }
 
-/// Legacy DNF of one raw-AST predicate: normalizes assertion values inline.
-std::vector<Conjunct> legacy_predicate_dnf(const Filter& p, bool negated,
-                                           const Schema& schema) {
-  const std::string& attr = p.attribute();
-  const ValueOrder order(schema, attr);
-  std::vector<Conjunct> out;
-
-  switch (p.kind()) {
-    case FilterKind::Present: {
-      if (!negated) {
-        AttrConstraints c;
-        c.present = true;
-        out.push_back(single(attr, std::move(c)));
-      } else {
-        AttrConstraints c;
-        c.absent = true;
-        out.push_back(single(attr, std::move(c)));
-      }
-      return out;
-    }
-    case FilterKind::Equality: {
-      const std::string v = schema.normalize(attr, p.value());
-      if (!negated) {
-        Conjunct c;
-        add_range(c, attr, ValueRange::point(v), schema);
-        out.push_back(std::move(c));
-      } else {
-        AttrConstraints absent;
-        absent.absent = true;
-        out.push_back(single(attr, std::move(absent)));
-        Conjunct below;
-        add_range(below, attr, ValueRange::less_than(v), schema);
-        out.push_back(std::move(below));
-        Conjunct above;
-        add_range(above, attr, ValueRange::greater_than(v), schema);
-        out.push_back(std::move(above));
-      }
-      return out;
-    }
-    case FilterKind::GreaterEq:
-    case FilterKind::LessEq: {
-      const std::string v = schema.normalize(attr, p.value());
-      const bool ge = p.kind() == FilterKind::GreaterEq;
-      if (!negated) {
-        Conjunct c;
-        add_range(c, attr, ge ? ValueRange::at_least(v) : ValueRange::at_most(v),
-                  schema);
-        out.push_back(std::move(c));
-      } else {
-        AttrConstraints absent;
-        absent.absent = true;
-        out.push_back(single(attr, std::move(absent)));
-        Conjunct complement;
-        add_range(complement, attr,
-                  ge ? ValueRange::less_than(v) : ValueRange::greater_than(v),
-                  schema);
-        out.push_back(std::move(complement));
-      }
-      return out;
-    }
-    case FilterKind::Substring: {
-      const SubstringPattern pattern =
-          normalize_pattern(p.substrings(), attr, schema);
-      const bool prefix_only =
-          pattern.is_prefix_only() && prefix_ranges_valid(attr, schema);
-      if (!negated) {
-        Conjunct c;
-        add_pattern(c, attr, pattern);
-        if (!pattern.initial.empty() && prefix_ranges_valid(attr, schema)) {
-          // Range refinement: a value matching "p*..." lies in prefix(p).
-          add_range(c, attr, ValueRange::prefix(pattern.initial), schema);
-        }
-        out.push_back(std::move(c));
-      } else {
-        AttrConstraints absent;
-        absent.absent = true;
-        out.push_back(single(attr, std::move(absent)));
-        if (prefix_only) {
-          Conjunct below;
-          add_range(below, attr, ValueRange::less_than(pattern.initial), schema);
-          out.push_back(std::move(below));
-          if (auto upper = prefix_upper_bound(pattern.initial)) {
-            Conjunct above;
-            add_range(above, attr, ValueRange::at_least(*upper), schema);
-            out.push_back(std::move(above));
-          }
-        } else {
-          Conjunct np;
-          add_not_pattern(np, attr, pattern);
-          out.push_back(std::move(np));
-        }
-      }
-      return out;
-    }
-    case FilterKind::And:
-    case FilterKind::Or:
-    case FilterKind::Not:
-      throw ldap::OperationError(ldap::ResultCode::OperationsError,
-                                 "predicate_dnf called on composite node");
-  }
-  return out;
-}
-
 std::vector<Conjunct> cross_product(const std::vector<std::vector<Conjunct>>& parts,
                                     const Schema& schema,
                                     std::size_t max_conjuncts) {
@@ -326,41 +223,6 @@ std::vector<Conjunct> to_dnf(const Filter& filter, bool negated,
                              const Schema& schema, std::size_t max_conjuncts) {
   const FilterIrPtr ir = FilterInterner::for_schema(schema).intern(filter);
   return to_dnf(*ir, negated, schema, max_conjuncts);
-}
-
-std::vector<Conjunct> legacy_to_dnf(const Filter& filter, bool negated,
-                                    const Schema& schema,
-                                    std::size_t max_conjuncts) {
-  switch (filter.kind()) {
-    case FilterKind::Not:
-      return legacy_to_dnf(*filter.children().front(), !negated, schema,
-                           max_conjuncts);
-    case FilterKind::And:
-    case FilterKind::Or: {
-      const bool conjunctive = (filter.kind() == FilterKind::And) != negated;
-      if (conjunctive) {
-        std::vector<std::vector<Conjunct>> parts;
-        parts.reserve(filter.children().size());
-        for (const ldap::FilterPtr& child : filter.children()) {
-          parts.push_back(legacy_to_dnf(*child, negated, schema, max_conjuncts));
-        }
-        return cross_product(parts, schema, max_conjuncts);
-      }
-      std::vector<Conjunct> out;
-      for (const ldap::FilterPtr& child : filter.children()) {
-        std::vector<Conjunct> part =
-            legacy_to_dnf(*child, negated, schema, max_conjuncts);
-        if (out.size() + part.size() > max_conjuncts) {
-          throw DnfLimitExceeded(max_conjuncts);
-        }
-        out.insert(out.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-      }
-      return out;
-    }
-    default:
-      return legacy_predicate_dnf(filter, negated, schema);
-  }
 }
 
 bool conjunct_inconsistent(const Conjunct& conjunct, const Schema& schema) {

@@ -30,14 +30,6 @@ bool filter_contained(const ldap::Filter& inner, const ldap::Filter& outer,
                       const ldap::Schema& schema = ldap::Schema::default_instance(),
                       std::size_t max_conjuncts = 4096);
 
-/// The pre-IR Proposition 1 check over the raw AST (normalizes values during
-/// DNF expansion). Kept as the benchmark baseline and the equivalence suite's
-/// oracle; production paths go through the IR overload.
-bool filter_contained_legacy(
-    const ldap::Filter& inner, const ldap::Filter& outer,
-    const ldap::Schema& schema = ldap::Schema::default_instance(),
-    std::size_t max_conjuncts = 4096);
-
 /// Same-template fast path (paper Proposition 3) over canonical IR: for two
 /// positive filters of the same template, `inner` is contained in `outer` if
 /// each predicate of `inner` is contained in the corresponding predicate of
@@ -51,26 +43,14 @@ std::optional<bool> same_template_contained(
     const ldap::FilterIr& inner, const ldap::FilterIr& outer,
     const ldap::Schema& schema = ldap::Schema::default_instance());
 
-/// AST form of the Proposition 3 walk (lockstep over the raw trees; returns
-/// false on structural mismatch). Precondition: both filters match one
-/// template (identical skeleton).
-bool same_template_contained(
-    const ldap::Filter& inner, const ldap::Filter& outer,
-    const ldap::Schema& schema = ldap::Schema::default_instance());
-
 /// Containment of one predicate in another over the same attribute, used by
 /// the Proposition 3 walk: (a=x) in (a=y) iff x=y; (a>=x) in (a>=y) iff x>=y;
 /// (a<=x) in (a<=y) iff x<=y; anything in (a=*); substring by sound pattern
 /// containment; plus the cross-kind cases derivable by range reasoning
 /// ((a=x) in (a>=y) iff x>=y, (a=x) in (a=p*) iff x matches, ...).
-///
-/// The IR overload compares the nodes' pre-normalized values directly (no
-/// normalize calls); the AST overload normalizes inline.
+/// Compares the nodes' pre-normalized values directly (no normalize calls).
 bool predicate_contained(
     const ldap::FilterIr& inner, const ldap::FilterIr& outer,
-    const ldap::Schema& schema = ldap::Schema::default_instance());
-bool predicate_contained(
-    const ldap::Filter& inner, const ldap::Filter& outer,
     const ldap::Schema& schema = ldap::Schema::default_instance());
 
 }  // namespace fbdr::containment

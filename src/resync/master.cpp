@@ -146,7 +146,6 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
     }
     // (i) Initial request: create the session and send the whole content.
     auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
-    qs->set_legacy_eval(legacy_eval_);
     const sync::UpdateBatch batch = qs->initial(master_->dit());
     id = new_session_id();
     session = &adopt_session(id, std::move(qs), control.mode);
@@ -313,7 +312,6 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
   }
   ++governor_.stats().reconcile_walks;
   auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
-  qs->set_legacy_eval(legacy_eval_);
   qs->prepare(master_->dit());
   const ReconcileRequest& offer = *control.reconcile;
 
@@ -636,20 +634,10 @@ void ReSyncMaster::pump() {
     }
     std::vector<sync::ChangeRouter::Handle> candidates;
     for (const server::ChangeRecord* record : records) {
-      if (change_routing_) {
-        candidates.clear();
-        shard.router.route(*record, candidates, &shard.cache);
-        for (const sync::ChangeRouter::Handle handle : candidates) {
-          apply_change(shard, *shard.by_handle.at(handle), *record,
-                       &shard.cache);
-        }
-      } else {
-        // Exhaustive fan-out (benchmark baseline / equivalence oracle). The
-        // router's holder mirror is still maintained by apply_change, so
-        // routing can be switched back on afterwards.
-        for (auto& [id, session] : shard.sessions) {
-          apply_change(shard, session, *record, nullptr);
-        }
+      candidates.clear();
+      shard.router.route(*record, candidates, &shard.cache);
+      for (const sync::ChangeRouter::Handle handle : candidates) {
+        apply_change(shard, *shard.by_handle.at(handle), *record, &shard.cache);
       }
     }
   });
@@ -774,15 +762,6 @@ void ReSyncMaster::reset() {
   // The restarted master resumes journal consumption at the tail: sessions
   // created after the restart take their baseline from initial() anyway.
   last_pumped_seq_ = master_->journal().last_seq();
-}
-
-void ReSyncMaster::set_legacy_eval(bool legacy) {
-  legacy_eval_ = legacy;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (auto& [id, session] : shard->sessions) {
-      session.session->set_legacy_eval(legacy);
-    }
-  }
 }
 
 void ReSyncMaster::abandon(const std::string& cookie) {

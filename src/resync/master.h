@@ -129,17 +129,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// order and re-checks the global history budget.
   void pump();
 
-  /// Disables change routing: every record fans out to every session, as the
-  /// pre-routing master did. The router's holder mirror is still maintained,
-  /// so routing can be re-enabled at any time. Exists for benchmarks and the
-  /// routed-vs-exhaustive equivalence tests.
-  void set_change_routing(bool enabled) { change_routing_ = enabled; }
-
-  /// Sessions evaluate filters via the original AST walker instead of the
-  /// compiled program (benchmark baseline only; results are identical).
-  /// Applies to existing sessions and to ones created later.
-  void set_legacy_eval(bool legacy);
-
   /// Candidate-set statistics, folded across the shard routers. candidates
   /// and exhaustive are globally meaningful sums; routed_changes counts
   /// per-shard route invocations (shards x records).
@@ -348,8 +337,6 @@ class ReSyncMaster : public ReSyncEndpoint {
   std::size_t pump_threads_ = 0;
   bool reconcile_enabled_ = true;
   double reconcile_fallback_fraction_ = 0.5;
-  bool change_routing_ = true;
-  bool legacy_eval_ = false;
 };
 
 }  // namespace fbdr::resync

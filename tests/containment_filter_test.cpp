@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "ldap/filter_ir.h"
 #include "ldap/filter_parser.h"
+#include "oracles/legacy_containment.h"
 
 namespace fbdr::containment {
 namespace {
@@ -137,42 +141,65 @@ TEST(FilterContainment, DeMorganEquivalence) {
   EXPECT_TRUE(contained("(&(!(sn=a))(!(sn=b)))", "(!(|(sn=a)(sn=b)))"));
 }
 
+// The Proposition 3 tests run the IR overloads ContainmentEngine calls, on
+// interned filters; the AST oracle must give the same verdicts.
+
+ldap::FilterIrPtr ir(const char* text) {
+  return ldap::FilterInterner::for_schema(ldap::Schema::default_instance())
+      .intern(ldap::parse_filter(text));
+}
+
+bool pred_contained(const char* inner, const char* outer) {
+  const bool verdict = predicate_contained(*ir(inner), *ir(outer));
+  EXPECT_EQ(oracles::predicate_contained(*ldap::parse_filter(inner),
+                                         *ldap::parse_filter(outer)),
+            verdict)
+      << inner << " in " << outer;
+  return verdict;
+}
+
+/// The IR walk's answer; where it answers, the general engine and the AST
+/// oracle must agree with it.
+std::optional<bool> walk(const char* inner, const char* outer) {
+  const std::optional<bool> verdict = same_template_contained(*ir(inner), *ir(outer));
+  if (verdict) {
+    EXPECT_EQ(filter_contained(*ir(inner), *ir(outer)), *verdict)
+        << inner << " in " << outer;
+    EXPECT_EQ(oracles::same_template_contained(*ldap::parse_filter(inner),
+                                               *ldap::parse_filter(outer)),
+              *verdict)
+        << inner << " in " << outer;
+  }
+  return verdict;
+}
+
 TEST(PredicateContained, DirectCases) {
-  const auto& schema = ldap::Schema::default_instance();
-  auto pred = [](const char* text) { return ldap::parse_filter(text); };
-  EXPECT_TRUE(predicate_contained(*pred("(age=30)"), *pred("(age>=18)"), schema));
-  EXPECT_TRUE(predicate_contained(*pred("(age>=30)"), *pred("(age>=18)"), schema));
-  EXPECT_FALSE(predicate_contained(*pred("(age>=10)"), *pred("(age>=18)"), schema));
-  EXPECT_TRUE(predicate_contained(*pred("(sn=doe)"), *pred("(sn=*)"), schema));
-  EXPECT_TRUE(
-      predicate_contained(*pred("(sn=doe)"), *pred("(sn=do*)"), schema));
-  EXPECT_TRUE(
-      predicate_contained(*pred("(sn=do*)"), *pred("(sn=d*)"), schema));
-  EXPECT_FALSE(
-      predicate_contained(*pred("(sn=do*)"), *pred("(cn=do*)"), schema));
+  EXPECT_TRUE(pred_contained("(age=30)", "(age>=18)"));
+  EXPECT_TRUE(pred_contained("(age>=30)", "(age>=18)"));
+  EXPECT_FALSE(pred_contained("(age>=10)", "(age>=18)"));
+  EXPECT_TRUE(pred_contained("(sn=doe)", "(sn=*)"));
+  EXPECT_TRUE(pred_contained("(sn=doe)", "(sn=do*)"));
+  EXPECT_TRUE(pred_contained("(sn=do*)", "(sn=d*)"));
+  EXPECT_FALSE(pred_contained("(sn=do*)", "(cn=do*)"));
   // Prefix pattern inside a compatible range.
-  EXPECT_TRUE(
-      predicate_contained(*pred("(sn=do*)"), *pred("(sn>=do)"), schema));
-  EXPECT_FALSE(
-      predicate_contained(*pred("(sn=do*)"), *pred("(sn>=dz)"), schema));
+  EXPECT_TRUE(pred_contained("(sn=do*)", "(sn>=do)"));
+  EXPECT_FALSE(pred_contained("(sn=do*)", "(sn>=dz)"));
 }
 
 TEST(SameTemplateContained, PairwisePredicateWalk) {
-  auto f = [](const char* text) { return ldap::parse_filter(text); };
   // Proposition 3 walk on (&(dept=_)(div=_)).
-  EXPECT_TRUE(same_template_contained(*f("(&(dept=2406)(div=sw))"),
-                                      *f("(&(dept=2406)(div=sw))")));
-  EXPECT_FALSE(same_template_contained(*f("(&(dept=2406)(div=sw))"),
-                                       *f("(&(dept=2407)(div=sw))")));
+  EXPECT_EQ(walk("(&(dept=2406)(div=sw))", "(&(dept=2406)(div=sw))"), true);
+  EXPECT_EQ(walk("(&(dept=2406)(div=sw))", "(&(dept=2407)(div=sw))"), false);
   // Range template (age>=_).
-  EXPECT_TRUE(same_template_contained(*f("(age>=30)"), *f("(age>=18)")));
-  EXPECT_FALSE(same_template_contained(*f("(age>=18)"), *f("(age>=30)")));
+  EXPECT_EQ(walk("(age>=30)", "(age>=18)"), true);
+  EXPECT_EQ(walk("(age>=18)", "(age>=30)"), false);
   // Prefix template (serialnumber=_*).
-  EXPECT_TRUE(same_template_contained(*f("(serialnumber=041*)"),
-                                      *f("(serialnumber=04*)")));
-  // Structural mismatch yields false.
-  EXPECT_FALSE(same_template_contained(*f("(sn=doe)"),
-                                       *f("(&(sn=doe)(cn=x))")));
+  EXPECT_EQ(walk("(serialnumber=041*)", "(serialnumber=04*)"), true);
+  // A structural mismatch is no answer: the caller falls back to
+  // Proposition 1.
+  EXPECT_EQ(walk("(sn=doe)", "(&(sn=doe)(cn=x))"), std::nullopt);
+  EXPECT_FALSE(oracles::same_template_contained(
+      *ldap::parse_filter("(sn=doe)"), *ldap::parse_filter("(&(sn=doe)(cn=x))")));
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 
 #include "containment/query_containment.h"
 #include "ldap/entry.h"
-#include "ldap/filter_eval.h"
+#include "oracles/filter_eval.h"
 
 namespace fbdr::containment {
 namespace {
@@ -49,7 +49,7 @@ std::vector<Entry> build_dit() {
 /// membership, only projection).
 bool answers(const Query& q, const Entry& entry) {
   return q.region_covers(entry.dn()) && q.filter &&
-         ldap::matches(*q.filter, entry);
+         oracles::matches(*q.filter, entry);
 }
 
 TEST(QcProperty, ClaimedContainmentImpliesResultSubset) {

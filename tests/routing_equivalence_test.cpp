@@ -2,12 +2,12 @@
 // path: the optimized paths must be observationally identical to the simple
 // exhaustive ones.
 //
-//  1. CompiledFilter::matches == ldap::matches on random filters x entries.
+//  1. CompiledFilter::matches == the AST oracle on random filters x entries.
 //  2. DirectoryServer::evaluate (index-driven) == a full region+filter scan.
 //  3. ChangeRouter-pruned tracker evaluation produces exactly the same
 //     per-session ContentEvent sequences as exhaustive evaluation.
-//  4. A routed ReSyncMaster and an exhaustive one emit byte-identical
-//     update streams end to end, including under session churn.
+//  4. A routed ReSyncMaster emits byte-identical update streams to the
+//     exhaustive oracle fan-out end to end, including under session churn.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +19,10 @@
 #include <vector>
 
 #include "ldap/compiled_filter.h"
-#include "ldap/filter_eval.h"
 #include "ldap/filter_parser.h"
 #include "ldap/ldif.h"
+#include "oracles/exhaustive_fanout.h"
+#include "oracles/filter_eval.h"
 #include "resync/master.h"
 #include "sync/change_router.h"
 #include "sync/content_tracker.h"
@@ -126,7 +127,7 @@ TEST(RoutingEquivalence, CompiledFilterMatchesAstWalker) {
     const ldap::CompiledFilter compiled =
         ldap::CompiledFilter::compile(*filter, schema);
     for (const EntryPtr& entry : entries) {
-      const bool expected = ldap::matches(*filter, *entry, schema);
+      const bool expected = oracles::matches(*filter, *entry, schema);
       ASSERT_EQ(compiled.matches(*entry), expected)
           << text << " on " << entry->dn().to_string();
       ASSERT_EQ(compiled.matches(entry, &cache), expected)
@@ -161,7 +162,7 @@ TEST(RoutingEquivalence, EvaluateIndexedEqualsFullScan) {
     master.dit().for_each([&](const EntryPtr& entry) {
       if (!query.region_covers(entry->dn())) return;
       if (query.filter &&
-          !ldap::matches(*query.filter, *entry, master.schema())) {
+          !oracles::matches(*query.filter, *entry, master.schema())) {
         return;
       }
       expected.insert(entry->dn().norm_key());
@@ -311,72 +312,83 @@ TEST(RoutingEquivalence, RoutedMasterMatchesExhaustiveMasterEndToEnd) {
   std::mt19937 rng(20050605);
   const std::vector<Query> queries = session_queries(dir, rng, 18);
 
-  // Two protocol masters over the same journal: both see every change, one
-  // routes, the other fans out exhaustively.
+  // The protocol master and the oracle fan-out read the same journal: the
+  // master routes every change, the oracle feeds it to every session.
+  using SessionId = oracles::ExhaustiveFanout::SessionId;
   resync::ReSyncMaster routed(master);
-  resync::ReSyncMaster exhaustive(master);
-  exhaustive.set_change_routing(false);
+  oracles::ExhaustiveFanout exhaustive(master);
 
-  std::vector<std::string> routed_pushed, exhaustive_pushed;
+  // Persist pushes are keyed by the oracle session the routed cookie pairs
+  // with; push order across sessions is the sharded pump's business
+  // (resync_shard_equivalence_test).
+  std::map<std::string, SessionId> paired;
+  std::map<SessionId, std::string> routed_pushed;
   routed.set_notification_sink(
       [&](const std::string& cookie, const std::vector<resync::EntryPdu>& pdus) {
-        routed_pushed.push_back(cookie + "\n" + pdu_signature(pdus));
+        const bool first =
+            routed_pushed.emplace(paired.at(cookie), pdu_signature(pdus)).second;
+        EXPECT_TRUE(first) << "two pushes to " << cookie << " in one pump";
       });
-  exhaustive.set_notification_sink(
-      [&](const std::string& cookie, const std::vector<resync::EntryPdu>& pdus) {
-        exhaustive_pushed.push_back(cookie + "\n" + pdu_signature(pdus));
-      });
+  const auto open_both = [&](const Query& query, resync::Mode mode) {
+    const auto r = routed.handle(query, {mode, ""});
+    const auto e = exhaustive.open(query, mode);
+    EXPECT_EQ(pdu_signature(r.pdus), pdu_signature(e.pdus))
+        << query.to_string();
+    paired[r.cookie] = e.id;
+    return std::make_pair(r.cookie, e.id);
+  };
 
-  // Alternate persist and poll sessions; track the poll cookies pairwise.
-  std::vector<std::pair<std::string, std::string>> poll_cookies;
-  std::vector<std::pair<std::string, std::string>> persist_cookies;
+  // Alternate persist and poll sessions.
+  std::vector<std::pair<std::string, SessionId>> poll_sessions;
+  std::vector<std::pair<std::string, SessionId>> persist_sessions;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const resync::Mode mode =
         i % 2 == 0 ? resync::Mode::Persist : resync::Mode::Poll;
-    const auto r = routed.handle(queries[i], {mode, ""});
-    const auto e = exhaustive.handle(queries[i], {mode, ""});
-    ASSERT_EQ(pdu_signature(r.pdus), pdu_signature(e.pdus));
-    ASSERT_EQ(r.cookie, e.cookie);
-    (mode == resync::Mode::Poll ? poll_cookies : persist_cookies)
-        .emplace_back(r.cookie, e.cookie);
+    (mode == resync::Mode::Poll ? poll_sessions : persist_sessions)
+        .push_back(open_both(queries[i], mode));
   }
+  ASSERT_FALSE(HasFailure());
 
   workload::UpdateConfig update_config;
   update_config.seed = 20050606;
   workload::UpdateGenerator updates(dir, update_config);
   FilterGen gen(rng, dir);
 
+  std::size_t pushes = 0;
   for (int round = 0; round < 40; ++round) {
     updates.apply(10);
+    routed_pushed.clear();
     routed.pump();
-    exhaustive.pump();
+    std::map<SessionId, std::string> exhaustive_pushed;
+    for (const auto& [id, pdus] : exhaustive.pump()) {
+      exhaustive_pushed[id] = pdu_signature(pdus);
+    }
     ASSERT_EQ(routed_pushed, exhaustive_pushed) << "after round " << round;
+    pushes += routed_pushed.size();
 
     // Poll every poll-mode session and compare the answered updates.
-    for (auto& [rc, ec] : poll_cookies) {
-      const auto r = routed.handle(queries[0], {resync::Mode::Poll, rc});
-      const auto e = exhaustive.handle(queries[0], {resync::Mode::Poll, ec});
-      ASSERT_EQ(pdu_signature(r.pdus), pdu_signature(e.pdus));
-      rc = r.cookie;
-      ec = e.cookie;
+    for (auto& [cookie, id] : poll_sessions) {
+      const auto r = routed.handle(queries[0], {resync::Mode::Poll, cookie});
+      ASSERT_EQ(pdu_signature(r.pdus), pdu_signature(exhaustive.poll(id)))
+          << "round " << round << " session " << id;
+      cookie = r.cookie;
     }
 
-    // Session churn: end one session and start a new one on both masters.
+    // Session churn: end one session and start a new one on both sides.
     if (round % 10 == 5) {
-      if (!persist_cookies.empty()) {
-        routed.abandon(persist_cookies.back().first);
-        exhaustive.abandon(persist_cookies.back().second);
-        persist_cookies.pop_back();
+      if (!persist_sessions.empty()) {
+        routed.abandon(persist_sessions.back().first);
+        exhaustive.close(persist_sessions.back().second);
+        persist_sessions.pop_back();
       }
       const Query fresh = Query::parse(
           "o=ibm", Scope::Subtree, "(departmentnumber=" + gen.dept() + ")");
-      const auto r = routed.handle(fresh, {resync::Mode::Persist, ""});
-      const auto e = exhaustive.handle(fresh, {resync::Mode::Persist, ""});
-      ASSERT_EQ(pdu_signature(r.pdus), pdu_signature(e.pdus));
-      persist_cookies.emplace_back(r.cookie, e.cookie);
+      persist_sessions.push_back(open_both(fresh, resync::Mode::Persist));
+      ASSERT_FALSE(HasFailure());
     }
   }
   ASSERT_EQ(routed.session_count(), exhaustive.session_count());
+  EXPECT_GT(pushes, 0u);
   // Routing really pruned the fan-out while producing identical streams.
   const auto& stats = routed.routing_stats();
   EXPECT_LT(stats.candidates, stats.exhaustive / 2);

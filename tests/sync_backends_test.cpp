@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "ldap/error.h"
@@ -232,6 +233,9 @@ struct BackendCase {
   const char* name;
   std::function<std::unique_ptr<SyncBackend>(server::DirectoryServer&)> make;
 };
+
+// Keeps the discovered test names free of the struct's pointer bytes.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.name; }
 
 class BackendConvergence : public ::testing::TestWithParam<BackendCase> {};
 

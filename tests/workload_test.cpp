@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "ldap/filter_eval.h"
+#include "oracles/filter_eval.h"
 #include "workload/directory_gen.h"
 #include "workload/update_gen.h"
 #include "workload/workload_gen.h"
@@ -162,7 +162,7 @@ TEST_F(DirectoryTest, GeneratedQueriesMatchRealEntries) {
   for (const GeneratedQuery& generated : generator.generate(400)) {
     bool any = false;
     dir().master->dit().for_each([&](const ldap::EntryPtr& entry) {
-      if (!any && ldap::matches(*generated.query.filter, *entry)) any = true;
+      if (!any && oracles::matches(*generated.query.filter, *entry)) any = true;
     });
     if (any) ++matched;
   }
