@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the plain build + full test suite, then an ASan/UBSan build
 # running the chaos/soak test (the faulty-transport paths are where memory
-# bugs would hide — duplicated in-flight requests, replay caches, session
-# teardown on master reset) and the oracle-backed filter, containment and
-# equivalence suites, then a TSan build running the threaded
-# shard-equivalence and chaos suites (the sharded pump is where races would
-# hide — shard-local state crossing a shard boundary, the pump-pool barrier),
-# then the socket loopback suites under ASan with a hard timeout (stream
+# bugs would hide — duplicated in-flight frames, corrupted and truncated
+# frames, replay caches, session teardown on master reset), the FaultyPipe
+# unit cases, the framed-vs-direct twins and the oracle-backed filter,
+# containment and equivalence suites, then a TSan build running the
+# threaded shard-equivalence and chaos suites (the sharded pump is where
+# races would hide — shard-local state crossing a shard boundary, the
+# pump-pool barrier), then the socket loopback suites under ASan with a hard timeout (stream
 # reassembly and the epoll server are where over-reads would hide), then the
 # socket chaos suites under ASan with their own hard timeout (the ChaosProxy
 # relay legs and the supervised-respawn paths are where use-after-close and
@@ -14,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + ctest =="
-cmake -B build -S . >/dev/null
+echo "== tier 1: build (warnings are errors) + ctest =="
+cmake -B build -S . -DFBDR_WERROR=ON >/dev/null
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
@@ -26,7 +27,8 @@ echo "== tier 1: sanitizer chaos + overload-soak run (ASan + UBSan) =="
 cmake -B build-asan -S . -DFBDR_SANITIZE=address -DFBDR_BUILD_BENCHMARKS=OFF \
       -DFBDR_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
-      resync_recovery_test resync_protocol_test routing_equivalence_test \
+      net_fault_pipe_test resync_recovery_test resync_protocol_test \
+      routing_equivalence_test \
       filter_ir_equivalence_test topology_chaos_test \
       server_ldif_roundtrip_test resync_governor_test sync_compaction_test \
       resync_overload_test resync_reconcile_test \
@@ -35,7 +37,7 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       wire_roundtrip_test wire_fuzz_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|FilterEval|FilterContainment|PredicateContained|SameTemplateContained|ContainmentProperty|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
+      -R 'ReSyncChaos|ServiceDegradation|FaultyPipe|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|FilterEval|FilterContainment|PredicateContained|SameTemplateContained|ContainmentProperty|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes

@@ -65,28 +65,29 @@ ReSyncResponse ReSyncReplica::initial_exchange(
 }
 
 void ReSyncReplica::start(Mode mode) {
-  mode_ = mode;
-  const ReSyncResponse response = initial_exchange(mode, nullptr);
+  adopt(initial_exchange(mode, nullptr), mode);
+}
+
+void ReSyncReplica::adopt(const ReSyncResponse& response, Mode mode) {
   cookie_ = response.cookie;
   active_ = true;
   apply(response);
   drain_pages(response, mode);
 }
 
-void ReSyncReplica::adopt_reload(const ReSyncResponse& response) {
-  cookie_ = response.cookie;
-  active_ = true;
-  apply(response);
-  drain_pages(response, Mode::Poll);
+void ReSyncReplica::reload(const ReSyncResponse& response) {
+  ++full_reloads_;
+  adopt(response, Mode::Poll);
 }
 
 void ReSyncReplica::recover() {
-  ++recoveries_;
+  // A heal is counted when its new session is adopted. A recovery exchange
+  // lost in transit leaves the stale cookie in place; the next poll retries
+  // the recovery and counts it then.
   if (!reconcile_ || content_.size() == 0) {
     // Reconciliation disabled, or nothing local to reconcile against: the
     // full reload IS the diff.
-    ++full_reloads_;
-    start(Mode::Poll);
+    reload(initial_exchange(Mode::Poll, nullptr));
     return;
   }
   // Round 1: offer the local content's digests instead of accepting a full
@@ -101,15 +102,13 @@ void ReSyncReplica::recover() {
   if (!response.reconcile) {
     // The peer does not speak reconciliation: the offer was ignored and a
     // plain initial full reload came back (version gating).
-    ++full_reloads_;
-    adopt_reload(response);
+    reload(response);
     return;
   }
   if (response.reconcile->fallback) {
     // Diverged too far (or walk cap): the master shipped the content.
-    ++full_reloads_;
     ++reconcile_fallbacks_;
-    adopt_reload(response);
+    reload(response);
     return;
   }
   if (response.reconcile->in_sync) {
@@ -132,15 +131,14 @@ void ReSyncReplica::recover() {
     const ReSyncResponse diff = request(control);
     cookie_ = diff.cookie;
     active_ = true;
+    ++reconciles_;
     std::size_t shipped = diff.pdus.size();
     apply(diff);
     shipped += drain_pages(diff, Mode::Poll);
     reconcile_entries_shipped_ += shipped;
-    ++reconciles_;
   } catch (const ldap::StaleCookieError&) {
     // The walk expired between rounds: the plain reload path always works.
-    ++full_reloads_;
-    start(Mode::Poll);
+    reload(initial_exchange(Mode::Poll, nullptr));
   }
 }
 

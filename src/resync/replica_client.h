@@ -60,9 +60,12 @@ class ReSyncReplica {
   /// as before reconciliation existed (DESIGN.md §12).
   void set_reconcile(bool enabled) { reconcile_ = enabled; }
 
-  /// Number of recoveries performed. Always equals
-  /// full_reloads() + reconciles().
-  std::uint64_t recoveries() const noexcept { return recoveries_; }
+  /// Number of recoveries performed: full_reloads() + reconciles(). A
+  /// recovery whose exchanges are lost in transit is not counted until the
+  /// poll that retries it lands.
+  std::uint64_t recoveries() const noexcept {
+    return full_reloads_ + reconciles_;
+  }
 
   /// Recoveries (or starts after a recovery fallback) that reloaded the
   /// entire content.
@@ -126,8 +129,10 @@ class ReSyncReplica {
       Mode mode, const std::shared_ptr<const ReconcileRequest>& reconcile);
   /// Stale-cookie recovery: digest walk when possible, full reload otherwise.
   void recover();
-  /// Adopts a full-reload recovery response (cookie, content, pages).
-  void adopt_reload(const ReSyncResponse& response);
+  /// Adopts an initial response as the session (cookie, content, pages).
+  void adopt(const ReSyncResponse& response, Mode mode);
+  /// Adopts a full-reload recovery response and counts it.
+  void reload(const ReSyncResponse& response);
 
   std::unique_ptr<net::Channel> owned_channel_;
   net::Channel* channel_;
@@ -135,11 +140,9 @@ class ReSyncReplica {
   sync::ReplicaContent content_;
   net::RetryPolicy retry_;
   std::string cookie_;
-  Mode mode_ = Mode::Poll;
   bool active_ = false;
   bool auto_recover_ = false;
   bool reconcile_ = true;
-  std::uint64_t recoveries_ = 0;
   std::uint64_t full_reloads_ = 0;
   std::uint64_t reconciles_ = 0;
   std::uint64_t reconcile_fallbacks_ = 0;

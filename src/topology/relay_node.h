@@ -127,7 +127,7 @@ class RelayNode final : public resync::ReSyncEndpoint,
                                 const resync::ReSyncControl& control) override;
   void abandon(const std::string& cookie) override;
   void tick(std::uint64_t delta = 1) override;
-  /// Crash-hook semantics (net::FaultyChannel::crash_master): equivalent to
+  /// Crash-hook semantics (net::FaultyPipe::crash_master): equivalent to
   /// crash()+restart() back to back — state wiped, epoch bumped, serving.
   void reset() override;
   const std::string& url() const override { return url_; }

@@ -79,32 +79,21 @@ std::shared_ptr<net::Channel> TopologyRuntime::make_channel(
     resync::ReSyncEndpoint& endpoint, const std::string& node_name,
     bool framed) {
   ++link_counter_;
-  fault_channels_.erase(node_name);
   fault_pipes_.erase(node_name);
   framed_links_.erase(node_name);
-  if (framed) {
-    std::shared_ptr<net::FramedChannel> channel;
-    if (options_.faults.has_value()) {
-      net::FaultConfig config = *options_.faults;
-      // Distinct deterministic stream per link, as on faulty direct links.
-      config.seed = config.seed + 0x9e3779b9ull * link_counter_;
-      auto pipe = std::make_shared<net::FaultyPipe>(endpoint, config);
-      fault_pipes_[node_name] = pipe.get();
-      channel = std::make_shared<net::FramedChannel>(std::move(pipe));
-    } else {
-      channel = std::make_shared<net::FramedChannel>(endpoint);
-    }
-    framed_links_[node_name] = channel.get();
-    return channel;
+  if (!framed) return std::make_shared<net::DirectChannel>(endpoint);
+  std::shared_ptr<net::FramedChannel> channel;
+  if (options_.faults.has_value()) {
+    net::FaultConfig config = *options_.faults;
+    // Distinct deterministic stream per link; re-wired links get fresh ones.
+    config.seed = config.seed + 0x9e3779b9ull * link_counter_;
+    auto pipe = std::make_shared<net::FaultyPipe>(endpoint, config);
+    fault_pipes_[node_name] = pipe.get();
+    channel = std::make_shared<net::FramedChannel>(std::move(pipe));
+  } else {
+    channel = std::make_shared<net::FramedChannel>(endpoint);
   }
-  if (!options_.faults.has_value()) {
-    return std::make_shared<net::DirectChannel>(endpoint);
-  }
-  net::FaultConfig config = *options_.faults;
-  // Distinct deterministic stream per link; re-wired links get fresh ones.
-  config.seed = config.seed + 0x9e3779b9ull * link_counter_;
-  auto channel = std::make_shared<net::FaultyChannel>(endpoint, config);
-  fault_channels_[node_name] = channel.get();
+  framed_links_[node_name] = channel.get();
   return channel;
 }
 
@@ -115,7 +104,14 @@ RelayNode& TopologyRuntime::add_node(const std::string& name,
   if (has_node(name)) {
     throw std::invalid_argument("duplicate topology node '" + name + "'");
   }
-  const bool framed_link = framed.value_or(options_.framed);
+  // Seeded faults live in the byte pipe under a framed link, so a faulty
+  // tree is framed throughout.
+  const bool faulty = options_.faults.has_value();
+  const bool framed_link = framed.value_or(options_.framed || faulty);
+  if (faulty && !framed_link) {
+    throw std::invalid_argument("topology node '" + name +
+                                "': fault injection needs a framed link");
+  }
   resync::ReSyncEndpoint* upstream = &root_endpoint_;
   std::string parent_url = root_->url();
   if (!parent.empty()) {
@@ -242,11 +238,6 @@ void TopologyRuntime::crash_node(const std::string& name) {
 
 void TopologyRuntime::restart_node(const std::string& name) {
   find_node(name).relay->restart();
-}
-
-net::FaultyChannel* TopologyRuntime::fault_channel(const std::string& name) {
-  const auto it = fault_channels_.find(name);
-  return it == fault_channels_.end() ? nullptr : it->second;
 }
 
 net::FaultyPipe* TopologyRuntime::fault_pipe(const std::string& name) {

@@ -1,7 +1,8 @@
 // Chaos/soak test for the fault-injectable ReSync transport: N replicas run
-// against a mutating master over a FaultyChannel that drops, duplicates,
-// reorders, delays and resets exchanges and crashes/restarts the master,
-// while a fault-free twin master receives the identical update stream over
+// against a mutating master over a framed link whose FaultyPipe drops,
+// duplicates, reorders, delays, resets (and, in the corruption schedules,
+// bit-flips and truncates) frames and crashes/restarts the master, while a
+// fault-free twin master receives the identical update stream over
 // DirectChannels. After quiescence every faulty-side replica must be
 // byte-equivalent to its twin (and to the master truth), with replays
 // detected-and-suppressed on the faulty run and zero on the twin.
@@ -12,6 +13,7 @@
 #include <random>
 #include <vector>
 
+#include "chaos_test_util.h"
 #include "core/replication_service.h"
 #include "ldap/error.h"
 #include "net/fault_injector.h"
@@ -19,7 +21,6 @@
 #include "wire/codec.h"
 #include "resync/replica_client.h"
 #include "server/directory_server.h"
-#include "sync/content_tracker.h"
 #include "workload/directory_gen.h"
 
 namespace fbdr::resync {
@@ -50,13 +51,6 @@ const std::vector<Query> kQueries = {
     Query::parse("o=xyz", Scope::Subtree, "(dept=42)"),
     Query::parse("o=xyz", Scope::Subtree, "(objectclass=person)"),
 };
-
-std::vector<std::string> master_truth(const server::DirectoryServer& master,
-                                      const Query& query) {
-  sync::ContentTracker tracker(query);
-  tracker.initialize(master.dit());
-  return tracker.content_keys();
-}
 
 /// One operation drawn from `rng`, applied identically to both masters so
 /// the faulty world and the fault-free twin see the same history.
@@ -97,6 +91,12 @@ struct ChaosSchedule {
   int restart_step;
 };
 
+void PrintTo(const ChaosSchedule& schedule, std::ostream* os) {
+  *os << "seed" << schedule.seed << " crash=" << schedule.crash_step
+      << " restart=" << schedule.restart_step;
+  PrintTo(schedule.faults, os);
+}
+
 class ReSyncChaos : public ::testing::TestWithParam<ChaosSchedule> {};
 
 TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
@@ -109,15 +109,13 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   faulty_resync.set_session_time_limit(60);
   twin_resync.set_session_time_limit(60);
 
-  net::FaultyChannel faulty_channel(faulty_resync, schedule.faults);
+  auto pipe = std::make_shared<net::FaultyPipe>(faulty_resync, schedule.faults);
+  net::FramedChannel faulty_channel(pipe);
   net::DirectChannel twin_channel(twin_resync);
 
-  net::RetryPolicy retry;
-  retry.max_attempts = 4;
-  retry.base_backoff_ticks = 1;
-  retry.multiplier = 2.0;
-  retry.max_backoff_ticks = 6;
-  retry.jitter_seed = schedule.seed;
+  const net::RetryPolicy retry{.max_attempts = 4,
+                               .max_backoff_ticks = 6,
+                               .jitter_seed = schedule.seed};
 
   std::vector<std::unique_ptr<ReSyncReplica>> faulty_replicas;
   std::vector<std::unique_ptr<ReSyncReplica>> twin_replicas;
@@ -150,8 +148,8 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
     faulty_resync.tick();
     twin_resync.tick();
 
-    if (step == schedule.crash_step) faulty_channel.crash_master();
-    if (step == schedule.restart_step) faulty_channel.restart_master();
+    if (step == schedule.crash_step) pipe->crash_master();
+    if (step == schedule.restart_step) pipe->restart_master();
 
     if (step % 7 == 0) {
       for (std::size_t i = 0; i < kQueries.size(); ++i) {
@@ -159,8 +157,8 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
         try {
           faulty_replicas[i]->poll();
         } catch (const net::TransportError&) {
-          // Retry budget exhausted this round — the replica stays behind
-          // and catches up on a later poll.
+          // Retry budget exhausted this round (possibly by a damaged frame)
+          // — the replica stays behind and catches up on a later poll.
         }
       }
     }
@@ -169,11 +167,9 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   // Quiescence: the link heals, stray duplicates drain, and every replica
   // completes one clean poll (recovering first if the crash ate its
   // session).
-  net::FaultConfig clean;
-  clean.seed = schedule.faults.seed;
-  faulty_channel.set_config(clean);
-  if (faulty_channel.master_down()) faulty_channel.restart_master();
-  faulty_channel.flush_replays();
+  pipe->set_config({.seed = schedule.faults.seed});
+  if (pipe->master_down()) pipe->restart_master();
+  pipe->flush_replays();
   faulty_resync.pump();
   twin_resync.pump();
   for (std::size_t i = 0; i < kQueries.size(); ++i) {
@@ -197,7 +193,14 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
   // The schedule must actually have hurt, and the replay protection must
   // have fired: duplicated/retried polls were answered from the replay
   // cache, never applied twice (content equality above proves the latter).
-  EXPECT_GT(faulty_channel.counters().faults(), 0u);
+  EXPECT_GT(pipe->counters().faults(), 0u);
+  // Byte-level faults fired when scheduled and were detected, not silently
+  // decoded into divergent content.
+  if (schedule.faults.corrupt > 0.0 || schedule.faults.truncate > 0.0) {
+    EXPECT_GT(pipe->counters().corrupted + pipe->counters().truncated, 0u)
+        << "corruption schedule produced no damaged frames (seed "
+        << schedule.seed << ")";
+  }
   EXPECT_GT(faulty_resync.replays_suppressed(), 0u)
       << "schedule produced no suppressed replays (seed " << schedule.seed
       << ")";
@@ -221,16 +224,13 @@ TEST_P(ReSyncChaos, ConvergesToFaultFreeTwinAfterQuiescence) {
 }
 
 net::FaultConfig lossy(std::uint64_t seed) {
-  net::FaultConfig config;
-  config.seed = seed;
-  config.drop_request = 0.10;
-  config.drop_response = 0.10;
-  config.duplicate = 0.20;
-  config.reorder = 0.50;
-  config.reset = 0.10;
-  config.delay = 0.15;
-  config.max_delay_ticks = 3;
-  return config;
+  return {.seed = seed, .drop_request = 0.10, .drop_response = 0.10,
+          .duplicate = 0.20, .reorder = 0.50, .reset = 0.10, .delay = 0.15,
+          .max_delay_ticks = 3};
+}
+
+std::string seed_name(const ::testing::TestParamInfo<ChaosSchedule>& info) {
+  return "seed" + std::to_string(info.param.seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -244,9 +244,25 @@ INSTANTIATE_TEST_SUITE_P(
         ChaosSchedule{777, lossy(777), -1, -1},
         // crash while a poll burst is due
         ChaosSchedule{424242, lossy(424242), 63, 70}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
-    });
+    seed_name);
+
+net::FaultConfig corrupting(std::uint64_t seed) {
+  net::FaultConfig config = lossy(seed);
+  config.corrupt = 0.08;
+  config.truncate = 0.05;
+  return config;
+}
+
+// Byte-level chaos on top of the full drop/dup/reorder/reset schedule:
+// flipped bits and truncated frames surface as checksum/decoder failures
+// and heal through the same retry and replay-cookie machinery.
+INSTANTIATE_TEST_SUITE_P(
+    CorruptionSchedules, ReSyncChaos,
+    ::testing::Values(ChaosSchedule{20050501, corrupting(20050501), 80, 95},
+                      ChaosSchedule{31337, corrupting(31337), 150, 190},
+                      ChaosSchedule{777, corrupting(777), -1, -1},
+                      ChaosSchedule{424242, corrupting(424242), 63, 70}),
+    seed_name);
 
 // Records the canonical wire encoding of every response a channel returns,
 // so two runs can be compared response-by-response: identical logs mean
@@ -353,129 +369,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FramedTwin,
                            return "seed" + std::to_string(p.param);
                          });
 
-net::FaultConfig corrupting(std::uint64_t seed) {
-  net::FaultConfig config = lossy(seed);
-  config.corrupt = 0.08;
-  config.truncate = 0.05;
-  return config;
-}
-
-// Byte-level chaos only a framed link can express: flipped bits and
-// truncated frames (on top of the full drop/dup/reorder/reset schedule)
-// surface as checksum/decoder failures, heal through the same retry and
-// replay-cookie machinery, and the replicas still converge to the
-// fault-free twin.
-class FramedChaos : public ::testing::TestWithParam<ChaosSchedule> {};
-
-TEST_P(FramedChaos, ConvergesUnderCorruptionSchedule) {
-  const ChaosSchedule schedule = GetParam();
-
-  auto faulty_master = make_master();
-  auto twin_master = make_master();
-  ReSyncMaster faulty_resync(*faulty_master);
-  ReSyncMaster twin_resync(*twin_master);
-  faulty_resync.set_session_time_limit(60);
-  twin_resync.set_session_time_limit(60);
-
-  auto pipe = std::make_shared<net::FaultyPipe>(faulty_resync, schedule.faults);
-  net::FramedChannel faulty_channel(pipe);
-  net::DirectChannel twin_channel(twin_resync);
-
-  net::RetryPolicy retry;
-  retry.max_attempts = 4;
-  retry.base_backoff_ticks = 1;
-  retry.multiplier = 2.0;
-  retry.max_backoff_ticks = 6;
-  retry.jitter_seed = schedule.seed;
-
-  std::vector<std::unique_ptr<ReSyncReplica>> faulty_replicas;
-  std::vector<std::unique_ptr<ReSyncReplica>> twin_replicas;
-  for (const Query& query : kQueries) {
-    auto faulty = std::make_unique<ReSyncReplica>(faulty_channel, query);
-    faulty->set_auto_recover(true);
-    faulty->set_retry_policy(retry);
-    while (true) {
-      try {
-        faulty->start(Mode::Poll);
-        break;
-      } catch (const net::TransportError&) {
-      }
-    }
-    faulty_replicas.push_back(std::move(faulty));
-
-    auto twin = std::make_unique<ReSyncReplica>(twin_channel, query);
-    twin->set_auto_recover(true);
-    twin->start(Mode::Poll);
-    twin_replicas.push_back(std::move(twin));
-  }
-
-  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
-  int next_cn = 100;
-  for (int step = 0; step < 240; ++step) {
-    mutate_both(rng, next_cn, *faulty_master, *twin_master);
-    faulty_resync.pump();
-    twin_resync.pump();
-    faulty_resync.tick();
-    twin_resync.tick();
-
-    if (step == schedule.crash_step) pipe->crash_master();
-    if (step == schedule.restart_step) pipe->restart_master();
-
-    if (step % 7 == 0) {
-      for (std::size_t i = 0; i < kQueries.size(); ++i) {
-        twin_replicas[i]->poll();
-        try {
-          faulty_replicas[i]->poll();
-        } catch (const net::TransportError&) {
-          // Retry budget exhausted (possibly by a corrupted frame) — the
-          // replica catches up on a later poll.
-        }
-      }
-    }
-  }
-
-  net::FaultConfig clean;
-  clean.seed = schedule.faults.seed;
-  pipe->set_config(clean);
-  if (pipe->master_down()) pipe->restart_master();
-  pipe->flush_replays();
-  faulty_resync.pump();
-  twin_resync.pump();
-  for (std::size_t i = 0; i < kQueries.size(); ++i) {
-    faulty_replicas[i]->poll();
-    twin_replicas[i]->poll();
-  }
-
-  for (std::size_t i = 0; i < kQueries.size(); ++i) {
-    const auto truth = master_truth(*faulty_master, kQueries[i]);
-    EXPECT_EQ(faulty_replicas[i]->content().keys(), truth)
-        << "framed faulty replica " << i << " diverged (seed " << schedule.seed
-        << ")";
-    EXPECT_EQ(faulty_replicas[i]->content().keys(),
-              twin_replicas[i]->content().keys())
-        << "framed/twin mismatch for replica " << i;
-  }
-
-  // The byte-level faults actually fired and were detected, not silently
-  // decoded into divergent content (equality above proves the latter).
-  EXPECT_GT(pipe->counters().corrupted + pipe->counters().truncated, 0u)
-      << "corruption schedule produced no damaged frames (seed "
-      << schedule.seed << ")";
-  EXPECT_GT(pipe->counters().faults(), 0u);
-  EXPECT_GT(faulty_resync.replays_suppressed(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, FramedChaos,
-    ::testing::Values(
-        ChaosSchedule{20050501, corrupting(20050501), 80, 95},
-        ChaosSchedule{31337, corrupting(31337), 150, 190},
-        ChaosSchedule{777, corrupting(777), -1, -1},
-        ChaosSchedule{424242, corrupting(424242), 63, 70}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
-    });
-
 // Service-level graceful degradation: a FilterReplicationService whose
 // master goes down keeps serving containment hits from stale local content,
 // surfaces the degradation through HealthStats, and heals with a full
@@ -499,9 +392,8 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
 
   net::FaultConfig quiet;
   quiet.seed = 7;
-  auto channel =
-      std::make_shared<net::FaultyChannel>(service.resync(), quiet);
-  service.set_channel(channel);
+  auto pipe = std::make_shared<net::FaultyPipe>(service.resync(), quiet);
+  service.set_channel(std::make_shared<net::FramedChannel>(pipe));
 
   const Query block = Query::parse("", Scope::Subtree, "(serialnumber=00*)");
   service.install(block);
@@ -520,7 +412,7 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
   EXPECT_FALSE(service.health().any_degraded());
 
   // The master goes down; changes keep landing that the replica cannot see.
-  channel->crash_master();
+  pipe->crash_master();
   dir.master->modify(target.dn,
                      {{Modification::Op::Replace, "mail", {"moved@x.com"}}});
   service.sync();  // transport fails past the retry budget -> degraded
@@ -542,7 +434,7 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
   EXPECT_TRUE(stale_mail) << "degraded filter should serve pre-outage content";
 
   // Staleness grows while the outage lasts.
-  channel->elapse(10);
+  pipe->elapse(10);
   service.sync();  // still down
   health = service.health();
   EXPECT_TRUE(health.filters.at(key).degraded);
@@ -551,7 +443,7 @@ TEST(ServiceDegradation, DegradedFilterServesStaleContentAndHeals) {
 
   // Reconnect: the next sync heals the filter — via a reconcile walk, since
   // the local content survived the outage (DESIGN.md §12).
-  channel->restart_master();
+  pipe->restart_master();
   service.sync();
   health = service.health();
   EXPECT_FALSE(health.filters.at(key).degraded);

@@ -15,11 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "chaos_test_util.h"
 #include "ldap/error.h"
-#include "net/fault_injector.h"
 #include "resync/replica_client.h"
 #include "server/directory_server.h"
-#include "sync/content_tracker.h"
 #include "topology/runtime.h"
 
 namespace fbdr::resync {
@@ -48,9 +47,7 @@ std::unique_ptr<server::DirectoryServer> make_master() {
 const Query kQuery = Query::parse("o=xyz", Scope::Subtree, "(dept=42)");
 
 std::vector<std::string> master_truth(const server::DirectoryServer& master) {
-  sync::ContentTracker tracker(kQuery);
-  tracker.initialize(master.dit());
-  return tracker.content_keys();
+  return fbdr::master_truth(master, kQuery);
 }
 
 /// One random op applied identically to the governed master and its
@@ -175,6 +172,11 @@ struct OverloadSchedule {
   net::FaultConfig faults;
 };
 
+void PrintTo(const OverloadSchedule& schedule, std::ostream* os) {
+  *os << "seed" << schedule.seed;
+  PrintTo(schedule.faults, os);
+}
+
 class ResyncOverloadChaos : public ::testing::TestWithParam<OverloadSchedule> {};
 
 // Transport faults — including memory-pressure outage windows — on top of a
@@ -198,20 +200,19 @@ TEST_P(ResyncOverloadChaos, GovernedMasterConvergesToTwinUnderFaults) {
   limits.journal_retention_records = 32;
   governed.set_resource_limits(limits);
 
-  net::RetryPolicy retry;
-  retry.max_attempts = 5;
-  retry.base_backoff_ticks = 1;
-  retry.multiplier = 2.0;
-  retry.max_backoff_ticks = 8;
-  retry.jitter_seed = schedule.seed;
+  const net::RetryPolicy retry{.max_attempts = 5,
+                               .max_backoff_ticks = 8,
+                               .jitter_seed = schedule.seed};
 
-  std::vector<std::unique_ptr<net::FaultyChannel>> channels;
+  std::vector<std::shared_ptr<net::FaultyPipe>> pipes;
+  std::vector<std::unique_ptr<net::FramedChannel>> channels;
   std::vector<std::unique_ptr<ReSyncReplica>> replicas;
   std::vector<std::unique_ptr<ReSyncReplica>> twins;
   for (int i = 0; i < 2; ++i) {
     net::FaultConfig config = schedule.faults;
     config.seed = schedule.seed + static_cast<std::uint64_t>(i) * 7919;
-    channels.push_back(std::make_unique<net::FaultyChannel>(governed, config));
+    pipes.push_back(std::make_shared<net::FaultyPipe>(governed, config));
+    channels.push_back(std::make_unique<net::FramedChannel>(pipes.back()));
     replicas.push_back(
         std::make_unique<ReSyncReplica>(*channels.back(), kQuery));
     replicas.back()->set_retry_policy(retry);
@@ -253,11 +254,9 @@ TEST_P(ResyncOverloadChaos, GovernedMasterConvergesToTwinUnderFaults) {
   }
 
   // Quiescence: faults off, links drained, one final catch-up round.
-  for (auto& channel : channels) {
-    net::FaultConfig calm;
-    calm.seed = 1;
-    channel->set_config(calm);
-    channel->flush_replays();
+  for (auto& pipe : pipes) {
+    pipe->set_config({});
+    pipe->flush_replays();
   }
   governed.pump();
   twin.pump();
@@ -280,9 +279,9 @@ TEST_P(ResyncOverloadChaos, GovernedMasterConvergesToTwinUnderFaults) {
   // The schedule must actually have exercised the fault paths.
   std::uint64_t faults = 0;
   std::uint64_t outages = 0;
-  for (const auto& channel : channels) {
-    faults += channel->counters().faults();
-    outages += channel->counters().outages;
+  for (const auto& pipe : pipes) {
+    faults += pipe->counters().faults();
+    outages += pipe->counters().outages;
   }
   EXPECT_GT(faults, 0u);
   if (schedule.faults.outage > 0.0) {

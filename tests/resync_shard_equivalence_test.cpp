@@ -114,6 +114,13 @@ struct ShardSchedule {
   int reset_step;  // -1 disables the mid-run master restart
 };
 
+void PrintTo(const ShardSchedule& schedule, std::ostream* os) {
+  *os << "seed" << schedule.seed << " shards=" << schedule.shards
+      << " threads=" << schedule.threads
+      << (schedule.governed ? " governed" : " ungoverned")
+      << " reset=" << schedule.reset_step;
+}
+
 /// The twin harness: one client-side session slot tracked against both
 /// masters in lockstep. Cookies are compared on every exchange, so the
 /// slots never drift apart.
@@ -298,7 +305,7 @@ TEST_P(ShardEquivalence, ThreadedPumpMatchesSerialTwin) {
 
     // Occasional client-side teardown exercises drop paths on both.
     if (step % 37 == 17) {
-      SessionSlot& slot = slots[step % slots.size()];
+      SessionSlot& slot = slots[static_cast<std::size_t>(step) % slots.size()];
       if (slot.alive) {
         serial.abandon(slot.cookie_a);
         sharded.abandon(slot.cookie_b);
@@ -335,10 +342,10 @@ std::vector<ShardSchedule> schedules() {
 
 INSTANTIATE_TEST_SUITE_P(
     SeededTwins, ShardEquivalence, ::testing::ValuesIn(schedules()),
-    [](const ::testing::TestParamInfo<ShardSchedule>& info) {
-      return "seed" + std::to_string(info.param.seed) + "_shards" +
-             std::to_string(info.param.shards) +
-             (info.param.governed ? "_governed" : "_reset");
+    [](const ::testing::TestParamInfo<ShardSchedule>& param_info) {
+      return "seed" + std::to_string(param_info.param.seed) + "_shards" +
+             std::to_string(param_info.param.shards) +
+             (param_info.param.governed ? "_governed" : "_reset");
     });
 
 // Repartitioning with live sessions must be refused: router registrations

@@ -87,6 +87,11 @@ struct CompactionSchedule {
   int ops_per_round;       // journal appends between polls (>> retention)
 };
 
+void PrintTo(const CompactionSchedule& schedule, std::ostream* os) {
+  *os << "seed" << schedule.seed << " retention=" << schedule.retention
+      << " ops_per_round=" << schedule.ops_per_round;
+}
+
 class SyncCompaction : public ::testing::TestWithParam<CompactionSchedule> {};
 
 TEST_P(SyncCompaction, ConvergesExactlyLikeTheUncompactedTwin) {

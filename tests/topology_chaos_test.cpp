@@ -1,6 +1,7 @@
 // Depth-3 cascade chaos test: a root master feeding two depth-1 relays,
-// four depth-2 relays and eight leaves, every link a seeded FaultyChannel
-// (drop, duplicate, reorder, delay, reset), with a mid-tree relay crash and
+// four depth-2 relays and eight leaves, every link framed over a seeded
+// FaultyPipe (drop, duplicate, reorder, delay, reset, and in the corruption
+// schedules bit flips and truncation), with a mid-tree relay crash and
 // restart in the schedule. A fault-free twin tree receives the identical
 // mutation stream over DirectChannels. After quiescence every node's
 // replicated content must equal the twin's and the master truth exactly —
@@ -14,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "chaos_test_util.h"
 #include "ldap/error.h"
-#include "sync/content_tracker.h"
 #include "topology/runtime.h"
 #include "wire/codec.h"
 #include "workload/directory_gen.h"
@@ -63,10 +64,14 @@ Query serial_query(const std::string& prefix) {
                       "(serialnumber=" + prefix + "*)");
 }
 
-/// root -> d1-<b> -> d2-<bb> -> leaf-<bbb>, one filter per node.
-void build_tree(TopologyRuntime& runtime) {
+/// root -> d1-<b> -> d2-<bb> -> leaf-<bbb>, one filter per node. A
+/// `direct_hop` node's upstream link is forced direct.
+void build_tree(TopologyRuntime& runtime, const std::string& direct_hop = "") {
   for (const std::string& bits : kBits1) {
-    runtime.add_node("d1-" + bits, "", {serial_query(bits)});
+    const std::string name = "d1-" + bits;
+    runtime.add_node(name, "", {serial_query(bits)},
+                     name == direct_hop ? std::optional<bool>(false)
+                                        : std::nullopt);
   }
   for (const std::string& bits : kBits2) {
     runtime.add_node("d2-" + bits, "d1-" + bits.substr(0, 1),
@@ -110,13 +115,6 @@ void mutate_both(std::mt19937& rng, int& next_rank,
   ++next_rank;
 }
 
-std::vector<std::string> master_truth(const server::DirectoryServer& master,
-                                      const Query& query) {
-  sync::ContentTracker tracker(query);
-  tracker.initialize(master.dit());
-  return tracker.content_keys();
-}
-
 std::vector<std::string> mirror_keys(const RelayNode& node, const Query& query) {
   std::vector<std::string> keys;
   for (const ldap::EntryPtr& entry : node.mirror().evaluate(query)) {
@@ -134,6 +132,12 @@ struct ChaosSchedule {
   int restart_step;
 };
 
+void PrintTo(const ChaosSchedule& schedule, std::ostream* os) {
+  *os << "seed" << schedule.seed << " crash=" << schedule.crash_node << '@'
+      << schedule.crash_step << " restart=" << schedule.restart_step;
+  PrintTo(schedule.faults, os);
+}
+
 class TopologyChaos : public ::testing::TestWithParam<ChaosSchedule> {};
 
 TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
@@ -144,10 +148,9 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
 
   TopologyRuntime::Options faulty_options;
   faulty_options.faults = schedule.faults;
-  faulty_options.retry.max_attempts = 4;
-  faulty_options.retry.base_backoff_ticks = 1;
-  faulty_options.retry.max_backoff_ticks = 6;
-  faulty_options.retry.jitter_seed = schedule.seed;
+  faulty_options.retry = {.max_attempts = 4,
+                          .max_backoff_ticks = 6,
+                          .jitter_seed = schedule.seed};
   faulty_options.session_time_limit = 60;
   TopologyRuntime faulty(faulty_master, faulty_options);
   faulty.root_master().set_session_time_limit(60);
@@ -179,13 +182,18 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
 
   // Quiescence: links go clean, stray in-flight duplicates drain, the tree
   // runs enough clean rounds for every recovery to cascade to the leaves.
-  net::FaultConfig clean;
-  clean.seed = schedule.faults.seed;
+  // Faults imply framed links, so every node has its own pipe. What the
+  // schedule did is read here: a re-wire would replace a node's pipe.
+  const net::FaultConfig clean{.seed = schedule.faults.seed};
+  std::uint64_t faults_seen = 0;
+  std::uint64_t damaged = 0;
   for (const std::string& name : faulty.node_names()) {
-    if (net::FaultyChannel* channel = faulty.fault_channel(name)) {
-      channel->set_config(clean);
-      channel->flush_replays();
-    }
+    net::FaultyPipe* pipe = faulty.fault_pipe(name);
+    ASSERT_NE(pipe, nullptr) << name << " lost its fault pipe";
+    pipe->set_config(clean);
+    pipe->flush_replays();
+    faults_seen += pipe->counters().faults();
+    damaged += pipe->counters().corrupted + pipe->counters().truncated;
   }
   for (int round = 0; round < 12; ++round) {
     faulty.tick();
@@ -193,7 +201,6 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
   }
 
   // Exact convergence, every node against the twin and the master truth.
-  std::uint64_t faults_seen = 0;
   for (const std::string& name : faulty.node_names()) {
     const RelayNode& node = faulty.node(name);
     const RelayNode& twin_node = twin.node(name);
@@ -205,13 +212,15 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
     EXPECT_EQ(faulty_keys, mirror_keys(twin_node, query))
         << name << " diverged from its fault-free twin (seed " << schedule.seed
         << ")";
-    if (const net::FaultyChannel* channel = faulty.fault_channel(name)) {
-      faults_seen += channel->counters().faults();
-    }
   }
 
-  // The schedule must actually have hurt.
+  // The schedule must actually have hurt; scheduled byte damage must have
+  // surfaced as counted transport errors.
   EXPECT_GT(faults_seen, 0u) << "fault schedule was a no-op";
+  if (schedule.faults.corrupt > 0.0 || schedule.faults.truncate > 0.0) {
+    EXPECT_GT(damaged, 0u) << "corruption schedule damaged no frames (seed "
+                           << schedule.seed << ")";
+  }
   for (const NodeHealth& health : faulty.health()) {
     EXPECT_FALSE(health.down) << health.name;
     EXPECT_FALSE(health.degraded) << health.name << " still degraded";
@@ -239,16 +248,13 @@ TEST_P(TopologyChaos, Depth3TreeConvergesToFaultFreeTwin) {
 }
 
 net::FaultConfig lossy(std::uint64_t seed) {
-  net::FaultConfig config;
-  config.seed = seed;
-  config.drop_request = 0.08;
-  config.drop_response = 0.08;
-  config.duplicate = 0.15;
-  config.reorder = 0.40;
-  config.reset = 0.08;
-  config.delay = 0.10;
-  config.max_delay_ticks = 3;
-  return config;
+  return {.seed = seed, .drop_request = 0.08, .drop_response = 0.08,
+          .duplicate = 0.15, .reorder = 0.40, .reset = 0.08, .delay = 0.10,
+          .max_delay_ticks = 3};
+}
+
+std::string seed_name(const ::testing::TestParamInfo<ChaosSchedule>& info) {
+  return "seed" + std::to_string(info.param.seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -262,9 +268,26 @@ INSTANTIATE_TEST_SUITE_P(
         ChaosSchedule{777, lossy(777), "d1-1", -1, -1},
         // crash with a long outage late in the run
         ChaosSchedule{424242, lossy(424242), "d2-01", 140, 180}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
-    });
+    seed_name);
+
+net::FaultConfig corrupting(std::uint64_t seed) {
+  net::FaultConfig config = lossy(seed);
+  config.corrupt = 0.05;
+  config.truncate = 0.04;
+  return config;
+}
+
+// Byte-level chaos on top of the usual loss: damaged frames must surface as
+// transport errors (counted), heal through retries and the stale-cookie
+// cascade, and the tree still converges to the fault-free twin.
+INSTANTIATE_TEST_SUITE_P(
+    CorruptionSchedules, TopologyChaos,
+    ::testing::Values(
+        ChaosSchedule{20050501, corrupting(20050501), "d1-0", 70, 90},
+        ChaosSchedule{31337, corrupting(31337), "d2-10", 110, 135},
+        ChaosSchedule{777, corrupting(777), "d1-1", -1, -1},
+        ChaosSchedule{424242, corrupting(424242), "d2-01", 140, 180}),
+    seed_name);
 
 // Codec transparency at tree scale: a fault-free tree whose every link runs
 // the framed wire codec must mirror a DirectChannel twin exactly — same
@@ -284,19 +307,7 @@ TEST_P(FramedTopologyTwin, FramedTreeMirrorsDirectTwinExactly) {
   TopologyRuntime framed(framed_master, framed_options);
   TopologyRuntime direct(direct_master, {});
 
-  // Same shape as build_tree, but one relay's upstream hop forced direct.
-  for (const std::string& bits : kBits1) {
-    framed.add_node("d1-" + bits, "", {serial_query(bits)},
-                    bits == "1" ? std::optional<bool>(false) : std::nullopt);
-  }
-  for (const std::string& bits : kBits2) {
-    framed.add_node("d2-" + bits, "d1-" + bits.substr(0, 1),
-                    {serial_query(bits)});
-  }
-  for (const std::string& bits : kBits3) {
-    framed.add_node("leaf-" + bits, "d2-" + bits.substr(0, 2),
-                    {serial_query(bits)});
-  }
+  build_tree(framed, "d1-1");
   build_tree(direct);
   ASSERT_TRUE(framed.install());
   ASSERT_TRUE(direct.install());
@@ -347,102 +358,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FramedTopologyTwin,
                          [](const ::testing::TestParamInfo<std::uint64_t>& p) {
                            return "seed" + std::to_string(p.param);
                          });
-
-net::FaultConfig corrupting(std::uint64_t seed) {
-  net::FaultConfig config = lossy(seed);
-  config.corrupt = 0.05;
-  config.truncate = 0.04;
-  return config;
-}
-
-// The full tree under byte-level chaos: every link framed over a FaultyPipe
-// whose schedule adds bit corruption and truncation to the usual loss. The
-// damaged frames must surface as transport errors (counted), heal through
-// retries and the stale-cookie cascade, and the tree still converges to the
-// fault-free twin.
-class FramedTopologyChaos : public ::testing::TestWithParam<ChaosSchedule> {};
-
-TEST_P(FramedTopologyChaos, FramedTreeConvergesUnderCorruptionSchedule) {
-  const ChaosSchedule schedule = GetParam();
-
-  auto faulty_master = make_master("ldap://root");
-  auto twin_master = make_master("ldap://root");
-
-  TopologyRuntime::Options faulty_options;
-  faulty_options.framed = true;
-  faulty_options.faults = schedule.faults;
-  faulty_options.retry.max_attempts = 4;
-  faulty_options.retry.base_backoff_ticks = 1;
-  faulty_options.retry.max_backoff_ticks = 6;
-  faulty_options.retry.jitter_seed = schedule.seed;
-  faulty_options.session_time_limit = 60;
-  TopologyRuntime faulty(faulty_master, faulty_options);
-  faulty.root_master().set_session_time_limit(60);
-
-  TopologyRuntime::Options twin_options;
-  twin_options.session_time_limit = 60;
-  TopologyRuntime twin(twin_master, twin_options);
-  twin.root_master().set_session_time_limit(60);
-
-  build_tree(faulty);
-  build_tree(twin);
-  faulty.install();
-  ASSERT_TRUE(twin.install());
-
-  std::mt19937 rng(static_cast<unsigned>(schedule.seed));
-  int next_rank = 0;
-  for (int step = 0; step < 200; ++step) {
-    mutate_both(rng, next_rank, *faulty_master, *twin_master);
-    if (step == schedule.crash_step) faulty.crash_node(schedule.crash_node);
-    if (step == schedule.restart_step) faulty.restart_node(schedule.crash_node);
-    faulty.tick();
-    twin.tick();
-  }
-
-  // Quiescence via the pipe-level accessor: links go clean and drain.
-  net::FaultConfig clean;
-  clean.seed = schedule.faults.seed;
-  std::uint64_t damaged = 0;
-  for (const std::string& name : faulty.node_names()) {
-    net::FaultyPipe* pipe = faulty.fault_pipe(name);
-    ASSERT_NE(pipe, nullptr) << name << " lost its framed fault pipe";
-    damaged += pipe->counters().corrupted + pipe->counters().truncated;
-    pipe->set_config(clean);
-    pipe->flush_replays();
-  }
-  for (int round = 0; round < 12; ++round) {
-    faulty.tick();
-    twin.tick();
-  }
-
-  for (const std::string& name : faulty.node_names()) {
-    const RelayNode& node = faulty.node(name);
-    const Query& query = node.filter_replica().query_at(0);
-    const auto faulty_keys = mirror_keys(node, query);
-    EXPECT_EQ(faulty_keys, master_truth(*faulty_master, query))
-        << name << " diverged from master truth (seed " << schedule.seed << ")";
-    EXPECT_EQ(faulty_keys, mirror_keys(twin.node(name), query))
-        << name << " diverged from its fault-free twin (seed " << schedule.seed
-        << ")";
-  }
-  EXPECT_GT(damaged, 0u)
-      << "corruption schedule damaged no frames (seed " << schedule.seed << ")";
-  for (const NodeHealth& health : faulty.health()) {
-    EXPECT_FALSE(health.down) << health.name;
-    EXPECT_FALSE(health.degraded) << health.name << " still degraded";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, FramedTopologyChaos,
-    ::testing::Values(
-        ChaosSchedule{20050501, corrupting(20050501), "d1-0", 70, 90},
-        ChaosSchedule{31337, corrupting(31337), "d2-10", 110, 135},
-        ChaosSchedule{777, corrupting(777), "d1-1", -1, -1},
-        ChaosSchedule{424242, corrupting(424242), "d2-01", 140, 180}),
-    [](const ::testing::TestParamInfo<ChaosSchedule>& param_info) {
-      return "seed" + std::to_string(param_info.param.seed);
-    });
 
 }  // namespace
 }  // namespace fbdr::topology
