@@ -15,9 +15,10 @@
 // attribute-selective department filters (departmentnumber=NNNN), the
 // workload of §7.3b. Reported: pump cost per journaled change (ns) and
 // sustained change throughput per configuration, the router's candidate
-// statistics, a routed-vs-exhaustive speedup at the largest exhaustive rung
-// and a parallel_speedup_vs_serial series against the serial routed baseline
-// (shards=1, threads=0). Results are written as a JSON report for CI
+// statistics, a routed-vs-exhaustive speedup at the largest exhaustive rung,
+// a parallel_speedup_vs_serial series against the serial routed baseline
+// (shards=1, threads=0) and an admission_us_per_session series (the serial
+// routed run's initial requests per session, per rung). Results are written as a JSON report for CI
 // (scripts/bench_smoke.sh); --min-speedup gates the routed/exhaustive edge and
 // --min-parallel-speedup gates the threaded speedup at 4 threads — the
 // latter is hardware-aware: on hosts with fewer than 4 cores the gate is
@@ -102,6 +103,7 @@ struct RunResult {
   std::size_t threads = 0;
   double ns_per_change = 0.0;
   double changes_per_sec = 0.0;
+  double admission_us_per_session = 0.0;  // routed: initial requests
   std::uint64_t candidates = 0;
   std::uint64_t exhaustive = 0;
 };
@@ -185,11 +187,19 @@ int main(int argc, char** argv) {
     resync::ReSyncMaster master(*dir.master);
     master.set_pump_shards(shards);
     master.set_pump_threads(threads);
+    const auto admit_start = Clock::now();
     for (std::size_t i = 0; i < session_count; ++i) {
       master.handle(session_query(i), {resync::Mode::Poll, ""});
     }
+    const double admit_us =
+        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                Clock::now() - admit_start)
+                                .count()) /
+        1e3;
     const auto routing_before = master.routing_stats();
     RunResult result;
+    result.admission_us_per_session =
+        session_count == 0 ? 0.0 : admit_us / static_cast<double>(session_count);
     result.mode = "routed";
     result.sessions = session_count;
     result.shards = shards;
@@ -199,6 +209,11 @@ int main(int argc, char** argv) {
         master.routing_stats().candidates - routing_before.candidates;
     result.exhaustive =
         master.routing_stats().exhaustive - routing_before.exhaustive;
+    if (shards == 1 && threads == 0) {
+      bench::print_row("admission_us_per_session",
+                       static_cast<double>(session_count),
+                       result.admission_us_per_session);
+    }
     return result;
   };
 
@@ -308,10 +323,24 @@ int main(int argc, char** argv) {
     if (result.mode == "routed") {
       row.set("candidates", result.candidates);
       row.set("exhaustive", result.exhaustive);
+      row.set("admission_us_per_session", result.admission_us_per_session);
     }
     rows.push(std::move(row));
   }
   report.set("results", std::move(rows));
+  // Admission cost per session at each rung, from the serial routed run:
+  // sessions after the first of a filter join its group without a DIT scan.
+  bench::JsonValue admission = bench::JsonValue::array();
+  for (const RunResult& result : results) {
+    if (result.mode != "routed" || result.shards != 1 || result.threads != 0) {
+      continue;
+    }
+    bench::JsonValue row = bench::JsonValue::object();
+    row.set("sessions", static_cast<std::uint64_t>(result.sessions));
+    row.set("us", result.admission_us_per_session);
+    admission.push(std::move(row));
+  }
+  report.set("admission_us_per_session", std::move(admission));
   bench::JsonValue series = bench::JsonValue::array();
   for (const ParallelPoint& point : parallel_series) {
     bench::JsonValue row = bench::JsonValue::object();

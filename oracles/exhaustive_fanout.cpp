@@ -9,7 +9,7 @@ ExhaustiveFanout::ExhaustiveFanout(const server::DirectoryServer& master)
 
 ExhaustiveFanout::Opened ExhaustiveFanout::open(const ldap::Query& query,
                                                 resync::Mode mode) {
-  auto session = std::make_unique<sync::QuerySession>(query, master_->schema());
+  auto session = std::make_unique<QuerySession>(query, master_->schema());
   Opened opened;
   opened.id = next_id_++;
   opened.pdus = resync::to_pdus(session->initial(master_->dit()));

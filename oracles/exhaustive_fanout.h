@@ -9,11 +9,11 @@
 #include "ldap/query.h"
 #include "resync/protocol.h"
 #include "server/directory_server.h"
-#include "sync/query_session.h"
+#include "oracles/query_session.h"
 
 namespace fbdr::oracles {
 
-/// Reference ReSync change stream: one sync::QuerySession per query, each fed
+/// Reference ReSync change stream: one QuerySession per query, each fed
 /// every journal record, answered through resync::to_pdus. It has no change
 /// routing, no shards, no governor and no cookies, which is what makes it a
 /// reference for the routed, sharded resync::ReSyncMaster (the equivalence
@@ -50,7 +50,7 @@ class ExhaustiveFanout {
 
  private:
   struct Session {
-    std::unique_ptr<sync::QuerySession> session;
+    std::unique_ptr<QuerySession> session;
     resync::Mode mode = resync::Mode::Poll;
   };
 

@@ -1,10 +1,12 @@
-#include "sync/query_session.h"
+#include "oracles/query_session.h"
 
 #include <set>
 
 #include "ldap/error.h"
 
-namespace fbdr::sync {
+namespace fbdr::oracles {
+
+using sync::Transition;
 
 using ldap::Dn;
 using ldap::EntryPtr;
@@ -35,10 +37,10 @@ void QuerySession::prepare(const server::Dit& dit) {
   tracker_.initialize(dit);
   pending_.clear();
   touched_.clear();
-  acked_.clear();
   degraded_ = false;
   full_bodies_ = false;
   initialized_ = true;
+  ack_content();
 }
 
 void QuerySession::ack_content() {
@@ -81,6 +83,21 @@ UpdateBatch QuerySession::diff_batch(
   for (const auto& [key, fp] : offered) {
     batch.deletes.push_back(fp->dn);  // replica holds it, content does not
   }
+  // Outside the walked buckets the replica holds the round-1 content: ship
+  // what changed since, as a poll would.
+  UpdateBatch since = poll();
+  const auto outside = [&](const auto& items, auto& out, const auto& key_of) {
+    for (const auto& item : items) {
+      if (wanted.count(ContentDigest::bucket_of(key_of(item))) == 0) {
+        out.push_back(item);
+      }
+    }
+  };
+  const auto entry_key = [](const EntryPtr& e) { return e->dn().norm_key(); };
+  const auto dn_key = [](const Dn& dn) { return dn.norm_key(); };
+  outside(since.adds, batch.adds, entry_key);
+  outside(since.mods, batch.mods, entry_key);
+  outside(since.deletes, batch.deletes, dn_key);
   ack_content();
   return batch;
 }
@@ -232,4 +249,4 @@ std::vector<ContentEvent> QuerySession::rebase(const server::Dit& dit) {
   return events;
 }
 
-}  // namespace fbdr::sync
+}  // namespace fbdr::oracles

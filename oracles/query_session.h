@@ -9,11 +9,19 @@
 #include "sync/content_tracker.h"
 #include "sync/update_batch.h"
 
-namespace fbdr::sync {
+namespace fbdr::oracles {
 
-/// The per-replicated-query synchronization state a ReSync master keeps for
-/// one session: the content tracker, the pending events since the last poll
-/// (the session history) and the replica's last acknowledged view.
+using sync::ContentDigest;
+using sync::ContentEvent;
+using sync::ContentTracker;
+using sync::EntryFingerprint;
+using sync::UpdateBatch;
+
+/// Reference per-session ReSync history: one content tracker, the pending
+/// events since the last poll (the session history) and the replica's last
+/// acknowledged view, all private to one session. Production shares the
+/// tracker and the history across a filter group (sync::FilterGroup); this
+/// is the oracle the grouped master is proven bit-identical against.
 ///
 /// Complete-history polls compact pending events into the minimal update set
 /// of equation (2); incomplete-history polls fall back to the retain-based
@@ -30,9 +38,12 @@ class QuerySession {
   /// Full initial content (clears history).
   UpdateBatch initial(const server::Dit& dit);
 
-  /// Initializes the tracker and clears history WITHOUT building the initial
-  /// batch or acking anything. Used for provisional sessions created while a
-  /// reconciliation walk decides what (if anything) the replica needs.
+  /// Initializes the tracker, clears history and acks the content WITHOUT
+  /// building the initial batch. Used for provisional sessions created while
+  /// a reconciliation walk decides what (if anything) the replica needs: the
+  /// replica is taken to hold the round-1 content outside the buckets the
+  /// walk asks for, and changes fed while the walk is pending accumulate as
+  /// ordinary history against that view.
   void prepare(const server::Dit& dit);
 
   /// Marks the entire current content as acknowledged by the replica. Called
@@ -47,8 +58,10 @@ class QuerySession {
   /// Reconciliation round 2: given the replica's fingerprints for the
   /// divergent `buckets`, builds the exact diff — content entries missing or
   /// mismatched replica-side ship as adds, fingerprinted entries absent from
-  /// the content ship as deletes. Acks the full content afterwards so the
-  /// session continues with complete-history polls (DESIGN.md §12).
+  /// the content ship as deletes. Every other bucket gets the equation (2)
+  /// compaction of the history fed since prepare(). Acks the full content
+  /// afterwards so the session continues with complete-history polls
+  /// (DESIGN.md §12).
   UpdateBatch diff_batch(const std::vector<EntryFingerprint>& fingerprints,
                          const std::vector<std::uint32_t>& buckets);
 
@@ -118,4 +131,4 @@ class QuerySession {
   bool full_bodies_ = false;  // collapsed: next eq(3) poll ships everything
 };
 
-}  // namespace fbdr::sync
+}  // namespace fbdr::oracles

@@ -4,11 +4,12 @@
 # bugs would hide — duplicated in-flight frames, corrupted and truncated
 # frames, replay caches, session teardown on master reset), the FaultyPipe
 # unit cases, the framed-vs-direct twins and the oracle-backed filter,
-# containment and equivalence suites, then a TSan build running the
-# threaded shard-equivalence and chaos suites (the sharded pump is where
-# races would hide — shard-local state crossing a shard boundary, the
-# pump-pool barrier), then the socket loopback suites under ASan with a hard timeout (stream
-# reassembly and the epoll server are where over-reads would hide), then the
+# containment and equivalence suites (including the grouped-vs-per-session
+# master twin and the filter-group cursor suite), then a TSan build running
+# the threaded shard- and group-equivalence and chaos suites (the sharded
+# pump is where races would hide — shard-local state crossing a shard
+# boundary, the pump-pool barrier), then the socket loopback suites under ASan with a hard timeout
+# (stream reassembly and the epoll server are where over-reads would hide), then the
 # socket chaos suites under ASan with their own hard timeout (the ChaosProxy
 # relay legs and the supervised-respawn paths are where use-after-close and
 # leaked-fd bugs would hide).
@@ -32,12 +33,13 @@ cmake --build build-asan -j"$(nproc)" --target resync_chaos_test \
       filter_ir_equivalence_test topology_chaos_test \
       server_ldif_roundtrip_test resync_governor_test sync_compaction_test \
       resync_overload_test resync_reconcile_test \
-      resync_shard_equivalence_test bench_common_test \
+      resync_shard_equivalence_test resync_group_equivalence_test \
+      sync_filter_group_test bench_common_test \
       ldap_filter_eval_test containment_filter_test containment_property_test \
       wire_roundtrip_test wire_fuzz_test \
       netio_pipe_test netio_socket_test netio_process_test netio_chaos_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-      -R 'ReSyncChaos|ServiceDegradation|FaultyPipe|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|BenchCommon|FilterEval|FilterContainment|PredicateContained|SameTemplateContained|ContainmentProperty|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
+      -R 'ReSyncChaos|ServiceDegradation|FaultyPipe|FramedTwin|FramedTopologyTwin|Recovery|ReSync|RoutingEquivalence|FilterIrEquivalence|TopologyChaos|ServerLdifRoundTrip|Governor|SyncCompaction|ResyncOverload|TopologyOverload|Reconcile|ShardEquivalence|ShardConfig|GroupEquivalence|FilterGroupTest|BenchCommon|FilterEval|FilterContainment|PredicateContained|SameTemplateContained|ContainmentProperty|WireRoundtrip|WireFuzz|FrameReassembler|ChunkedPipe|FramedChannelAccounting'
 
 echo "== tier 1: socket loopback suites (ASan, hard timeout) =="
 # Real sockets, an epoll loop thread, and fork/exec'd fbdr_node processes
@@ -63,9 +65,10 @@ echo "== tier 1: threaded-pump race run (TSan) =="
 cmake -B build-tsan -S . -DFBDR_SANITIZE=thread -DFBDR_BUILD_BENCHMARKS=OFF \
       -DFBDR_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target \
-      resync_shard_equivalence_test resync_chaos_test topology_chaos_test
+      resync_shard_equivalence_test resync_group_equivalence_test \
+      resync_chaos_test topology_chaos_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-      -R 'ShardEquivalence|ShardConfig|ReSyncChaos|ServiceDegradation|TopologyChaos'
+      -R 'ShardEquivalence|ShardConfig|GroupEquivalence|ReSyncChaos|ServiceDegradation|TopologyChaos'
 
 echo "== tier 1: bench smoke (routed pump >2x exhaustive fan-out; relay tree >=2x root relief; 4-thread pump >=2x serial where cores allow) =="
 scripts/bench_smoke.sh --min-speedup=2 --min-factor=2 --min-parallel-speedup=2

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "ldap/error.h"
 
@@ -19,29 +20,22 @@ std::string ReSyncMaster::new_session_id() {
   return "rs-" + std::to_string(++cookie_counter_);
 }
 
-ReSyncMaster::Shard& ReSyncMaster::shard_for(const std::string& id) {
+ReSyncMaster::Shard& ReSyncMaster::shard_for(const std::string& key) {
   if (shards_.size() == 1) return *shards_.front();
-  // FNV-1a: stable across builds and platforms, so a given session id lands
-  // on the same shard in every run (the equivalence twin depends on the
-  // partition being a pure function of the id and the shard count).
+  // FNV-1a: stable across builds and platforms, so a given group key lands
+  // on the same shard in every run.
   std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : id) {
+  for (const char c : key) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ull;
   }
   return *shards_[hash % shards_.size()];
 }
 
-std::map<std::string, ReSyncMaster::Session>::iterator
-ReSyncMaster::find_session(const std::string& id, Shard*& shard) {
-  shard = &shard_for(id);
-  return shard->sessions.find(id);
-}
-
 void ReSyncMaster::set_pump_shards(std::size_t shards) {
   if (shards == 0) shards = 1;
   if (shards == shards_.size()) return;
-  if (session_count() != 0) {
+  if (session_count() + pending_reconciles() != 0) {
     throw std::logic_error(
         "set_pump_shards: cannot repartition with live sessions");
   }
@@ -103,6 +97,14 @@ void ReSyncMaster::account(const std::vector<EntryPdu>& pdus) {
   }
 }
 
+ReSyncResponse ReSyncMaster::busy() {
+  ++governor_.stats().sessions_rejected_busy;
+  ReSyncResponse response;
+  response.busy = true;
+  response.origin_time = clock_.now();
+  return response;
+}
+
 ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
                                     const ReSyncControl& control) {
   traffic_.count_round_trip();
@@ -112,19 +114,14 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
       const CookieParts parts = parse_cookie(control.cookie);
       const auto pit = pending_reconciles_.find(parts.id);
       if (pit != pending_reconciles_.end()) {
+        end_walk(pit->second);
         pending_reconciles_.erase(pit);
         return {};
       }
-      Shard* shard = nullptr;
-      const auto it = find_session(parts.id, shard);
-      if (it != shard->sessions.end()) drop_session(*shard, it);
+      drop_session(parts.id);
     }
     return {};
   }
-
-  ReSyncResponse response;
-  std::string id;
-  Session* session = nullptr;
 
   if (control.initial()) {
     if (control.reconcile && reconcile_enabled_ &&
@@ -137,105 +134,92 @@ ReSyncResponse ReSyncMaster::handle(const ldap::Query& query,
     // (A master with reconciliation disabled lands here even for reconcile
     // offers: the response carries no reconcile field, which tells the
     // client the peer does not speak reconciliation.)
-    if (!governor_.admits(session_count() + pending_reconciles())) {
-      ++governor_.stats().sessions_rejected_busy;
-      ReSyncResponse busy;
-      busy.busy = true;
-      busy.origin_time = clock_.now();
-      return busy;
-    }
-    // (i) Initial request: create the session and send the whole content.
-    auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
-    const sync::UpdateBatch batch = qs->initial(master_->dit());
-    id = new_session_id();
-    session = &adopt_session(id, std::move(qs), control.mode);
-    paginate(*session, to_pdus(batch), /*full_reload=*/true,
-             /*complete_enumeration=*/false, response);
-    response.cookie = make_cookie(id, session->next_seq);
-  } else {
-    // (ii) The cookie identifies the session and carries the poll sequence
-    // number; send accumulated updates.
-    const CookieParts parts = parse_cookie(control.cookie);
-    if (!parts.has_seq) {
-      // A '#'-less cookie predates replay-safe sequence numbering (or came
-      // from another server). Treating it as seq 0 would bypass the replay
-      // cache and then fail the sequence check with a confusing
-      // out-of-sequence error; reject it as stale so the replica falls back
-      // to a full reload.
-      throw ldap::StaleCookieError("legacy resync cookie '" + control.cookie +
-                                   "' has no sequence number");
-    }
-    id = parts.id;
-    // Reconciliation walk cookies ("rc-<n>#<seq>") live in their own
-    // namespace and never collide with session ids.
-    const auto pit = pending_reconciles_.find(id);
-    if (pit != pending_reconciles_.end()) {
-      return handle_reconcile_round2(pit->second, parts, control);
-    }
-    Shard* shard = nullptr;
-    const auto it = find_session(id, shard);
-    if (it == shard->sessions.end()) {
-      throw ldap::StaleCookieError("unknown or expired resync cookie '" +
-                                   control.cookie + "'");
-    }
-    session = &it->second;
-    if (parts.seq != 0 && parts.seq == session->last_seq) {
-      // Duplicated or retried poll: answer from the replay cache. Session
-      // history is untouched — the updates it carried are neither shipped a
-      // second time into the replica's future nor lost.
-      ++replays_;
-      session->last_active = clock_.now();
-      if (!session->replay_stripped) {
-        account(session->last_response.pdus);  // retransmission is wire traffic
-        // Re-stamp the origin: handing back the stamp of the original
-        // exchange would roll a downstream relay's root-time view backwards
-        // and inflate its reported lag. The replay consumed no history, so a
-        // fresh stamp is safe — anything newer still sits in the session
-        // history and ships on the next genuine poll.
-        session->last_response.origin_time = clock_.now();
-        return session->last_response;
-      }
-      // The cached bodies were stripped under the replay-byte budget, so a
-      // verbatim replay is impossible. A complete enumeration of the current
-      // content converges the replica instead, whether or not it applied the
-      // original response (any newer change still sits in the session
-      // history and ships as an idempotent delta on the next genuine poll).
-      // Sequence state is untouched: this re-answers the same seq.
-      ReSyncResponse fresh2;
-      paginate(*session, to_pdus(session->session->snapshot_enumeration()),
-               /*full_reload=*/false, /*complete_enumeration=*/true, fresh2);
-      fresh2.cookie = make_cookie(id, session->next_seq);
-      fresh2.persistent = session->mode == Mode::Persist;
-      fresh2.origin_time = clock_.now();
-      account(fresh2.pdus);
-      cache_response(*session, fresh2);
-      return fresh2;
-    }
-    if (parts.seq != session->next_seq) {
-      throw ProtocolError("out-of-sequence resync cookie '" + control.cookie +
-                          "' (expected seq " + std::to_string(session->next_seq) +
-                          ")");
-    }
-    session->mode = control.mode;
-    if (session->overflow_pos < session->overflow.size()) {
-      // Drain the continuation pages of the previous logical batch before
-      // computing anything new.
-      serve_overflow(*session, response);
-    } else {
-      const sync::UpdateBatch batch = session->session->degraded()
-                                          ? session->session->poll_with_retains()
-                                          : session->session->poll();
-      paginate(*session, to_pdus(batch), /*full_reload=*/false,
-               batch.complete_enumeration, response);
-    }
-    session->last_seq = parts.seq;
-    session->next_seq = parts.seq + 1;
-    response.cookie = make_cookie(id, session->next_seq);
+    if (!governor_.admits(session_count() + pending_reconciles())) return busy();
+    // (i) Initial request: join the query's group and send its whole
+    // content — only the group's first session scans the DIT.
+    Group& group = join_group(query);
+    return open_session(group, control, to_pdus(group.filter.content_batch()),
+                        /*full_reload=*/true, nullptr);
   }
+  // (ii) The cookie identifies the session and carries the poll sequence
+  // number; send accumulated updates.
+  const CookieParts parts = parse_cookie(control.cookie);
+  if (!parts.has_seq) {
+    // A '#'-less cookie predates replay-safe sequence numbering (or came
+    // from another server). Treating it as seq 0 would bypass the replay
+    // cache and then fail the sequence check with a confusing
+    // out-of-sequence error; reject it as stale so the replica falls back
+    // to a full reload.
+    throw ldap::StaleCookieError("legacy resync cookie '" + control.cookie +
+                                 "' has no sequence number");
+  }
+  // Reconciliation walk cookies ("rc-<n>#<seq>") live in their own
+  // namespace and never collide with session ids.
+  const auto pit = pending_reconciles_.find(parts.id);
+  if (pit != pending_reconciles_.end()) {
+    return handle_reconcile_round2(pit->second, parts, control);
+  }
+  const auto it = sessions_.find(parts.id);
+  if (it == sessions_.end()) {
+    throw ldap::StaleCookieError("unknown or expired resync cookie '" +
+                                 control.cookie + "'");
+  }
+  Session& session = it->second;
+  if (parts.seq != 0 && parts.seq == session.last_seq) {
+    // Duplicated or retried poll: answer from the replay cache. Session
+    // history is untouched — the updates it carried are neither shipped a
+    // second time into the replica's future nor lost.
+    ++replays_;
+    session.last_active = clock_.now();
+    if (!session.replay_stripped) {
+      account(session.last_response.pdus);  // retransmission is wire traffic
+      // Re-stamp the origin: handing back the stamp of the original
+      // exchange would roll a downstream relay's root-time view backwards
+      // and inflate its reported lag. The replay consumed no history, so a
+      // fresh stamp is safe — anything newer still sits in the session
+      // history and ships on the next genuine poll.
+      session.last_response.origin_time = clock_.now();
+      return session.last_response;
+    }
+    // The cached bodies were stripped under the replay-byte budget, so a
+    // verbatim replay is impossible. A complete enumeration of the current
+    // content converges the replica instead, whether or not it applied the
+    // original response (any newer change still sits in the session
+    // history and ships as an idempotent delta on the next genuine poll).
+    // Sequence state is untouched: this re-answers the same seq.
+    ReSyncResponse fresh;
+    paginate(session, to_pdus(session.group->filter.content_batch()),
+             /*full_reload=*/false, /*complete_enumeration=*/true, fresh);
+    fresh.cookie = make_cookie(session.id, session.next_seq);
+    fresh.persistent = session.mode == Mode::Persist;
+    fresh.origin_time = clock_.now();
+    account(fresh.pdus);
+    cache_response(session, fresh);
+    return fresh;
+  }
+  if (parts.seq != session.next_seq) {
+    throw ProtocolError("out-of-sequence resync cookie '" + control.cookie +
+                        "' (expected seq " + std::to_string(session.next_seq) +
+                        ")");
+  }
+  session.mode = control.mode;
+  ReSyncResponse response;
+  if (session.overflow_pos < session.overflow.size()) {
+    // Drain the continuation pages of the previous logical batch before
+    // computing anything new.
+    serve_overflow(session, response);
+  } else {
+    const sync::UpdateBatch batch = session.group->filter.poll(session.cursor);
+    paginate(session, to_pdus(batch), /*full_reload=*/false,
+             batch.complete_enumeration, response);
+  }
+  session.last_seq = parts.seq;
+  session.next_seq = parts.seq + 1;
+  response.cookie = make_cookie(session.id, session.next_seq);
 
   // (iii) Persist: the connection stays open for pushed notifications.
   // (iv) Poll: the returned cookie resumes the session.
-  finalize(*session, control, response);
+  finalize(session, control, response);
   return response;
 }
 
@@ -252,90 +236,120 @@ void ReSyncMaster::finalize(Session& session, const ReSyncControl& control,
   cache_response(session, response);
 }
 
-ReSyncMaster::Session& ReSyncMaster::adopt_session(
-    const std::string& id, std::unique_ptr<sync::QuerySession> query_session,
-    Mode mode) {
-  Shard& shard = shard_for(id);
-  Session fresh;
-  fresh.session = std::move(query_session);
-  fresh.mode = mode;
-  fresh.id = id;
-  fresh.shard = &shard;
-  Session& session = shard.sessions.emplace(id, std::move(fresh)).first->second;
+ReSyncMaster::Group& ReSyncMaster::join_group(const ldap::Query& query) {
+  // Pump what is still unpumped first: every group's content is then the
+  // DIT's, so a joiner sees exactly what a fresh scan would and a new group
+  // is never fed a record its scan already reflects.
+  if (master_->journal().last_seq() != last_pumped_seq_) pump();
+  const std::string key = sync::FilterGroup::key_of(query, master_->schema());
+  const auto it = groups_by_key_.find(key);
+  if (it != groups_by_key_.end()) return *it->second;
+  Shard& shard = shard_for(key);
+  auto group = std::make_unique<Group>(query, master_->schema());
+  group->filter.initialize(master_->dit());
+  group->key = key;
   // Register with the shard's change router and seed its holder mirror from
   // the tracked content.
-  session.route = shard.router.add_session(
-      session.session->query(), &session.session->tracker().compiled_filter());
-  shard.by_handle[session.route] = &session;
-  for (const auto& [key, entry] : session.session->tracker().content()) {
-    shard.router.note_enter(session.route, key);
+  group->route = shard.router.add_session(
+      query, &group->filter.tracker().compiled_filter());
+  for (const auto& [entry_key, entry] : group->filter.tracker().content()) {
+    shard.router.note_enter(group->route, entry_key);
   }
-  shard.expiry.emplace(clock_.now(), id);
-  return session;
+  const sync::ChangeRouter::Handle route = group->route;
+  Group& joined = *(shard.groups[route] = std::move(group));
+  groups_by_key_.emplace(key, &joined);
+  return joined;
+}
+
+void ReSyncMaster::release_group(Group& group) {
+  if (group.filter.cursors() != 0) return;
+  Shard& shard = shard_for(group.key);
+  for (const auto& [key, entry] : group.filter.tracker().content()) {
+    shard.router.note_leave(group.route, key);
+  }
+  shard.router.remove_session(group.route);
+  groups_by_key_.erase(group.key);
+  shard.groups.erase(group.route);
+}
+
+void ReSyncMaster::drop_session(const std::string& id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return;
+  Session& session = it->second;
+  Group& group = *session.group;
+  group.filter.detach(session.cursor);
+  std::erase(group.members, &session);
+  sessions_.erase(it);
+  release_group(group);
+  // Any expiry node for the session is discarded lazily by tick().
+}
+
+void ReSyncMaster::end_walk(PendingReconcile& pending) {
+  Group* group = std::exchange(pending.group, nullptr);
+  if (group == nullptr) return;
+  group->filter.detach(pending.cursor);
+  release_group(*group);
 }
 
 std::size_t ReSyncMaster::pending_reconciles() const {
-  std::size_t live = 0;
-  for (const auto& [id, pending] : pending_reconciles_) {
-    if (!pending.completed) ++live;
-  }
-  return live;
+  return static_cast<std::size_t>(std::count_if(
+      pending_reconciles_.begin(), pending_reconciles_.end(),
+      [](const auto& entry) { return !entry.second.completed; }));
 }
 
-ReSyncResponse ReSyncMaster::reconcile_fallback(
-    std::unique_ptr<sync::QuerySession> qs, const ReSyncControl& control) {
-  ++governor_.stats().reconcile_fallbacks;
-  const sync::UpdateBatch batch = qs->full_content_batch();
+ReSyncResponse ReSyncMaster::open_session(
+    Group& group, const ReSyncControl& control, std::vector<EntryPdu> pdus,
+    bool full_reload, std::shared_ptr<ReconcileResponse> reconcile) {
   const std::string id = new_session_id();
-  Session& session = adopt_session(id, std::move(qs), control.mode);
+  Session& session = sessions_[id];
+  session.id = id;
+  session.mode = control.mode;
+  session.group = &group;
+  group.members.push_back(&session);
+  group.filter.attach(session.cursor);  // at the log end: holds the content
+  expiry_.emplace(clock_.now(), id);
   ReSyncResponse response;
-  auto rec = std::make_shared<ReconcileResponse>();
-  rec->fallback = true;
-  response.reconcile = std::move(rec);
-  paginate(session, to_pdus(batch), /*full_reload=*/true,
+  response.reconcile = std::move(reconcile);
+  paginate(session, std::move(pdus), full_reload,
            /*complete_enumeration=*/false, response);
-  response.cookie = make_cookie(id, session.next_seq);
+  response.cookie = make_cookie(session.id, session.next_seq);
   finalize(session, control, response);
   return response;
 }
 
+ReSyncResponse ReSyncMaster::reconcile_fallback(Group& group,
+                                                const ReSyncControl& control) {
+  ++governor_.stats().reconcile_fallbacks;
+  auto rec = std::make_shared<ReconcileResponse>();
+  rec->fallback = true;
+  return open_session(group, control, to_pdus(group.filter.content_batch()),
+                      /*full_reload=*/true, std::move(rec));
+}
+
 ReSyncResponse ReSyncMaster::handle_reconcile_round1(
     const ldap::Query& query, const ReSyncControl& control) {
-  // A live (incomplete) walk holds a provisional session's worth of state;
-  // it counts against the session cap like a session would.
-  if (!governor_.admits(session_count() + pending_reconciles())) {
-    ++governor_.stats().sessions_rejected_busy;
-    ReSyncResponse busy;
-    busy.busy = true;
-    busy.origin_time = clock_.now();
-    return busy;
-  }
+  // A live (incomplete) walk holds a cursor like a session would; it counts
+  // against the session cap.
+  if (!governor_.admits(session_count() + pending_reconciles())) return busy();
   ++governor_.stats().reconcile_walks;
-  auto qs = std::make_unique<sync::QuerySession>(query, master_->schema());
-  qs->prepare(master_->dit());
+  Group& group = join_group(query);
   const ReconcileRequest& offer = *control.reconcile;
 
-  // Walk cap: rather than holding more provisional state, ship it all.
+  // Walk cap: rather than holding more walks, ship it all.
   const std::size_t walk_cap = governor_.limits().max_pending_reconciles;
   if (walk_cap != 0 && pending_reconciles() >= walk_cap) {
-    return reconcile_fallback(std::move(qs), control);
+    return reconcile_fallback(group, control);
   }
 
-  const sync::ContentDigest& mine = qs->tracker().digest();
+  const sync::ContentDigest& mine = group.filter.tracker().digest();
   if (offer.root_digest == mine.root() &&
       offer.entry_count == mine.entry_count()) {
     // Roots match: the replica already holds the exact content.
     ++governor_.stats().reconciles_completed;
-    qs->ack_content();
-    const std::string id = new_session_id();
-    Session& session = adopt_session(id, std::move(qs), control.mode);
-    ReSyncResponse response;
     auto rec = std::make_shared<ReconcileResponse>();
     rec->in_sync = true;
-    response.reconcile = std::move(rec);
-    response.cookie = make_cookie(id, session.next_seq);
-    finalize(session, control, response);
-    return response;
+    return open_session(group, control, {}, /*full_reload=*/false,
+                        std::move(rec));
   }
 
   // Compare per-bucket digests; every mismatched or one-sided bucket is
@@ -371,13 +385,16 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
                               1);
   if (static_cast<double>(estimate) >
       reconcile_fallback_fraction_ * static_cast<double>(total)) {
-    return reconcile_fallback(std::move(qs), control);
+    return reconcile_fallback(group, control);
   }
 
-  // Hold the walk; round 2 brings fingerprints for exactly these buckets.
+  // Hold the walk on a group cursor; round 2 brings fingerprints for exactly
+  // these buckets.
   const std::string rcid = "rc-" + std::to_string(++reconcile_counter_);
-  PendingReconcile pending;
-  pending.session = std::move(qs);
+  PendingReconcile& pending = pending_reconciles_[rcid];
+  pending.group = &group;
+  pending.cursor.governed = false;
+  group.filter.attach(pending.cursor);
   pending.mode = control.mode;
   pending.need_buckets = need;
   pending.last_active = clock_.now();
@@ -388,7 +405,6 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round1(
   response.cookie = make_cookie(rcid, pending.expected_seq);
   response.origin_time = clock_.now();
   pending.last_response = response;
-  pending_reconciles_.emplace(rcid, std::move(pending));
   return response;
 }
 
@@ -414,20 +430,16 @@ ReSyncResponse ReSyncMaster::handle_reconcile_round2(
     throw ProtocolError("reconcile cookie '" + control.cookie +
                         "' requires round-2 fingerprints");
   }
-  const sync::UpdateBatch diff = pending.session->diff_batch(
-      control.reconcile->fingerprints, pending.need_buckets);
+  Group& group = *pending.group;
+  const sync::UpdateBatch diff = group.filter.diff_batch(
+      pending.cursor, control.reconcile->fingerprints, pending.need_buckets);
   const std::size_t shipped =
       diff.adds.size() + diff.mods.size() + diff.deletes.size();
-  const std::string id = new_session_id();
-  Session& session = adopt_session(id, std::move(pending.session), pending.mode);
-  session.mode = control.mode;
-  ReSyncResponse response;
   // An all-false reconcile field marks "here is your diff".
-  response.reconcile = std::make_shared<ReconcileResponse>();
-  paginate(session, to_pdus(diff), /*full_reload=*/false,
-           /*complete_enumeration=*/false, response);
-  response.cookie = make_cookie(id, session.next_seq);
-  finalize(session, control, response);
+  const ReSyncResponse response =
+      open_session(group, control, to_pdus(diff), /*full_reload=*/false,
+                   std::make_shared<ReconcileResponse>());
+  end_walk(pending);
   ++governor_.stats().reconciles_completed;
   governor_.stats().reconcile_entries_shipped += shipped;
   pending.last_seq = parts.seq;
@@ -510,34 +522,23 @@ void ReSyncMaster::set_resource_limits(const ResourceLimits& limits) {
   master_->journal().set_retention(limits.journal_retention_records);
 }
 
-void ReSyncMaster::apply_change(Shard& shard, Session& session,
-                                const server::ChangeRecord& record,
-                                ldap::NormalizedValueCache* cache) {
-  const std::vector<sync::ContentEvent> events =
-      session.session->on_change(record, cache);
+void ReSyncMaster::apply_events(Shard& shard, Group& group,
+                                const std::vector<sync::ContentEvent>& events) {
   if (events.empty()) return;
-  if (!session.dirty) {
-    session.dirty = true;
-    shard.dirty.push_back(&session);
+  if (!group.dirty) {
+    group.dirty = true;
+    shard.dirty.push_back(&group);
   }
-  mirror_events(shard, session, events);
-  enforce_session_history(session, shard.delta);
-}
-
-void ReSyncMaster::mirror_events(Shard& shard, Session& session,
-                                 const std::vector<sync::ContentEvent>& events) {
-  if (session.route == sync::ChangeRouter::kInvalidHandle) return;
-  for (const sync::ContentEvent& event : events) {
-    switch (event.transition) {
-      case sync::Transition::Enter:
-        shard.router.note_enter(session.route, event.dn.norm_key());
-        break;
-      case sync::Transition::Leave:
-        shard.router.note_leave(session.route, event.dn.norm_key());
-        break;
-      case sync::Transition::Update:
-        break;  // membership unchanged
+  for (const sync::ContentEvent& event : events) {  // Update: no change
+    if (event.transition == sync::Transition::Enter) {
+      shard.router.note_enter(group.route, event.dn.norm_key());
+    } else if (event.transition == sync::Transition::Leave) {
+      shard.router.note_leave(group.route, event.dn.norm_key());
     }
+  }
+  if (governor_.limits().max_session_history == 0) return;
+  for (Session* member : group.members) {
+    enforce_session_history(*member, shard.delta);
   }
 }
 
@@ -548,69 +549,57 @@ void ReSyncMaster::enforce_session_history(Session& session,
   // no complete-enumeration channel, so a degraded persist session could not
   // be answered exactly.)
   if (session.mode != Mode::Poll) return;
-  if (!governor_.over_session_history(session.session->history_units())) return;
-  if (!session.session->degraded()) {
-    session.session->degrade();
+  sync::FilterGroup& filter = session.group->filter;
+  sync::GroupCursor& cursor = session.cursor;
+  if (!governor_.over_session_history(filter.units(cursor))) return;
+  if (!cursor.degraded) {
+    filter.degrade(cursor);
     ++stats.sessions_degraded;
   }
   // degrade() dedups events into touched keys; if even those blow the
   // budget, collapse to ship-everything mode (zero history cost).
-  if (governor_.over_session_history(session.session->history_units()) &&
-      !session.session->history_collapsed()) {
-    session.session->collapse_history();
+  if (governor_.over_session_history(filter.units(cursor)) &&
+      !cursor.collapsed) {
+    filter.collapse(cursor);
     ++stats.histories_collapsed;
   }
 }
 
 void ReSyncMaster::enforce_global_history() {
+  if (governor_.limits().max_total_history == 0) return;
   std::size_t total = history_units();
   if (!governor_.over_total_history(total)) return;
   std::vector<Session*> victims;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (auto& [id, session] : shard->sessions) {
-      if (session.mode == Mode::Poll && session.session->history_units() > 0) {
-        victims.push_back(&session);
-      }
+  for (auto& [id, session] : sessions_) {
+    if (session.mode == Mode::Poll &&
+        session.group->filter.units(session.cursor) > 0) {
+      victims.push_back(&session);
     }
   }
   // Largest first; ties broken by session id so the victim order (and thus
   // which sessions end up degraded) does not depend on the shard count.
-  std::sort(victims.begin(), victims.end(), [](Session* a, Session* b) {
-    const std::size_t ua = a->session->history_units();
-    const std::size_t ub = b->session->history_units();
-    if (ua != ub) return ua > ub;
+  const auto units = [](const Session* s) {
+    return s->group->filter.units(s->cursor);
+  };
+  std::sort(victims.begin(), victims.end(), [&](Session* a, Session* b) {
+    if (units(a) != units(b)) return units(a) > units(b);
     return a->id < b->id;
   });
   for (Session* victim : victims) {
     if (!governor_.over_total_history(total)) break;
-    std::size_t units = victim->session->history_units();
-    if (!victim->session->degraded()) {
-      victim->session->degrade();
+    sync::FilterGroup& filter = victim->group->filter;
+    std::size_t held = units(victim);
+    if (!victim->cursor.degraded) {
+      filter.degrade(victim->cursor);
       ++governor_.stats().sessions_degraded;
-      total = total - units + victim->session->history_units();
-      units = victim->session->history_units();
+      total = total - held + units(victim);
+      held = units(victim);
     }
-    if (governor_.over_total_history(total) &&
-        !victim->session->history_collapsed()) {
-      victim->session->collapse_history();
+    if (governor_.over_total_history(total) && !victim->cursor.collapsed) {
+      filter.collapse(victim->cursor);
       ++governor_.stats().histories_collapsed;
-      total -= units;
+      total -= held;
     }
-  }
-}
-
-void ReSyncMaster::rebase_shard(Shard& shard) {
-  for (auto& [id, session] : shard.sessions) {
-    const std::vector<sync::ContentEvent> events =
-        session.session->rebase(master_->dit());
-    ++shard.delta.compaction_rebases;
-    if (events.empty()) continue;
-    if (!session.dirty) {
-      session.dirty = true;
-      shard.dirty.push_back(&session);
-    }
-    mirror_events(shard, session, events);
-    enforce_session_history(session, shard.delta);
   }
 }
 
@@ -620,16 +609,19 @@ void ReSyncMaster::pump() {
   if (!gap) records = master_->journal().since(last_pumped_seq_);
 
   // Parallel phase: every shard consumes the (shared, read-only) journal
-  // batch through its own router, cache and sessions — or, after a
-  // compaction gap, rebases its sessions from the DIT. No state outside the
-  // shard is written; governor counters accumulate in the shard delta.
+  // batch through its own router, cache and groups — or, after a compaction
+  // gap, rebases its groups from the DIT. No state outside the shard is
+  // written; governor counters accumulate in the shard delta.
   run_on_shards([&](Shard& shard) {
     if (gap) {
       // Journal compaction dropped records we never replayed: the gap cannot
-      // be reconstructed from the log, so re-anchor every session on the
-      // current DIT. The synthesized diff events flow through the normal
-      // history/budget/router paths.
-      rebase_shard(shard);
+      // be reconstructed from the log, so re-anchor every group on the
+      // current DIT, once per group. The synthesized diff events flow
+      // through the normal log/budget/router paths.
+      for (auto& [handle, group] : shard.groups) {
+        shard.delta.compaction_rebases += group->members.size();
+        apply_events(shard, *group, group->filter.rebase(master_->dit()));
+      }
       return;
     }
     std::vector<sync::ChangeRouter::Handle> candidates;
@@ -637,7 +629,8 @@ void ReSyncMaster::pump() {
       candidates.clear();
       shard.router.route(*record, candidates, &shard.cache);
       for (const sync::ChangeRouter::Handle handle : candidates) {
-        apply_change(shard, *shard.by_handle.at(handle), *record, &shard.cache);
+        Group& group = *shard.groups.at(handle);
+        apply_events(shard, group, group.filter.on_change(*record, &shard.cache));
       }
     }
   });
@@ -654,22 +647,23 @@ void ReSyncMaster::pump() {
   }
 
   // Serial phase. Push accumulated updates on persist connections
-  // immediately — only sessions some record actually touched are visited
-  // (the per-shard dirty lists: O(dirty), not O(sessions)). The global push
-  // order is sorted by session id, independent of the shard count.
-  std::vector<Session*> dirty;
+  // immediately — only members of groups some record actually touched are
+  // visited (O(dirty), not O(sessions)). The global push order is sorted by
+  // session id, independent of the shard count.
+  std::vector<Session*> pushes;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    dirty.insert(dirty.end(), shard->dirty.begin(), shard->dirty.end());
+    for (Group* group : shard->dirty) {
+      group->dirty = false;
+      for (Session* member : group->members) {
+        if (member->mode == Mode::Persist) pushes.push_back(member);
+      }
+    }
     shard->dirty.clear();
   }
-  std::sort(dirty.begin(), dirty.end(),
+  std::sort(pushes.begin(), pushes.end(),
             [](Session* a, Session* b) { return a->id < b->id; });
-  for (Session* session : dirty) {
-    session->dirty = false;
-    if (session->mode != Mode::Persist || !session->session->initialized()) {
-      continue;
-    }
-    const sync::UpdateBatch batch = session->session->poll();
+  for (Session* session : pushes) {
+    const sync::UpdateBatch batch = session->group->filter.poll(session->cursor);
     if (batch.empty()) continue;
     const std::vector<EntryPdu> pdus = to_pdus(batch);
     account(pdus);
@@ -689,85 +683,63 @@ void ReSyncMaster::tick(std::uint64_t delta) {
   for (auto it = pending_reconciles_.begin();
        it != pending_reconciles_.end();) {
     if (clock_.now() - it->second.last_active > limit) {
+      end_walk(it->second);
       it = pending_reconciles_.erase(it);
     } else {
       ++it;
     }
   }
   // (v) Expire idle poll sessions past the admin time limit (or the
-  // governor's tighter slow-poller deadline). Each shard's expiry queue is
-  // ordered by last_active-at-insertion with lazy deletion: only the stalest
-  // sessions are examined, instead of scanning all of them.
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    while (!shard->expiry.empty()) {
-      const auto front = shard->expiry.begin();
-      if (clock_.now() - front->first <= limit) break;  // rest is fresher
-      const auto it = shard->sessions.find(front->second);
-      if (it == shard->sessions.end()) {
-        shard->expiry.erase(front);  // dropped since insertion
-        continue;
-      }
-      Session& session = it->second;
-      if (session.mode != Mode::Poll) {
-        // Persist sessions hold an open connection and are not expired here;
-        // requeue at the current time so they are revisited, not rescanned.
-        const std::string id = front->second;
-        shard->expiry.erase(front);
-        shard->expiry.emplace(clock_.now(), id);
-        continue;
-      }
-      if (session.last_active != front->first) {
-        // Touched since insertion: requeue at the true last-active time.
-        const std::uint64_t last_active = session.last_active;
-        const std::string id = front->second;
-        shard->expiry.erase(front);
-        shard->expiry.emplace(last_active, id);
-        continue;
-      }
-      const std::uint64_t deadline = governor_.limits().poll_deadline_ticks;
-      if (deadline != 0 && clock_.now() - front->first > deadline) {
-        ++governor_.stats().sessions_evicted;  // governor-caused, not admin
-      }
-      drop_session(*shard, it);
-      shard->expiry.erase(front);
+  // governor's tighter slow-poller deadline). The expiry queue is ordered by
+  // last_active-at-insertion with lazy deletion: only the stalest sessions
+  // are examined, instead of scanning all of them.
+  while (!expiry_.empty()) {
+    const auto front = expiry_.begin();
+    if (clock_.now() - front->first <= limit) break;  // rest is fresher
+    const std::string id = front->second;
+    const std::uint64_t queued = front->first;
+    expiry_.erase(front);
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) continue;  // dropped since insertion
+    const Session& session = it->second;
+    if (session.mode != Mode::Poll) {
+      // Persist sessions hold an open connection and are not expired here;
+      // requeue at the current time so they are revisited, not rescanned.
+      expiry_.emplace(clock_.now(), id);
+      continue;
     }
-  }
-}
-
-void ReSyncMaster::drop_session(Shard& shard,
-                                std::map<std::string, Session>::iterator it) {
-  Session& session = it->second;
-  if (session.route != sync::ChangeRouter::kInvalidHandle) {
-    for (const auto& [key, entry] : session.session->tracker().content()) {
-      shard.router.note_leave(session.route, key);
+    if (session.last_active != queued) {
+      // Touched since insertion: requeue at the true last-active time.
+      expiry_.emplace(session.last_active, id);
+      continue;
     }
-    shard.router.remove_session(session.route);
-    shard.by_handle.erase(session.route);
+    const std::uint64_t deadline = governor_.limits().poll_deadline_ticks;
+    if (deadline != 0 && clock_.now() - queued > deadline) {
+      ++governor_.stats().sessions_evicted;  // governor-caused, not admin
+    }
+    drop_session(id);
   }
-  shard.sessions.erase(it);
-  // Any expiry node for the session is discarded lazily by tick().
 }
 
 void ReSyncMaster::reset() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->sessions.clear();
     shard->router.clear();
-    shard->by_handle.clear();
-    shard->expiry.clear();
+    shard->groups.clear();
     shard->cache.clear();
     shard->dirty.clear();
     shard->delta = GovernorStats{};
   }
+  sessions_.clear();
+  groups_by_key_.clear();
+  expiry_.clear();
   pending_reconciles_.clear();
   // The restarted master resumes journal consumption at the tail: sessions
-  // created after the restart take their baseline from initial() anyway.
+  // created after the restart take their baseline from the DIT anyway.
   last_pumped_seq_ = master_->journal().last_seq();
 }
 
 void ReSyncMaster::abandon(const std::string& cookie) {
-  Shard* shard = nullptr;
-  const auto it = find_session(parse_cookie(cookie).id, shard);
-  if (it != shard->sessions.end()) drop_session(*shard, it);
+  drop_session(parse_cookie(cookie).id);
 }
 
 sync::ChangeRouter::Stats ReSyncMaster::routing_stats() const {
@@ -778,39 +750,37 @@ sync::ChangeRouter::Stats ReSyncMaster::routing_stats() const {
   return total;
 }
 
-std::size_t ReSyncMaster::session_count() const noexcept {
-  std::size_t count = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    count += shard->sessions.size();
-  }
-  return count;
-}
-
 std::size_t ReSyncMaster::open_connections() const {
-  std::size_t count = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (const auto& [cookie, session] : shard->sessions) {
-      if (session.mode == Mode::Persist) ++count;
-    }
-  }
-  return count;
+  return static_cast<std::size_t>(
+      std::count_if(sessions_.begin(), sessions_.end(), [](const auto& entry) {
+        return entry.second.mode == Mode::Persist;
+      }));
 }
 
 std::size_t ReSyncMaster::history_size() const {
   std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (const auto& [cookie, session] : shard->sessions) {
-      total += session.session->pending_events();
-    }
+  for (const auto& [id, s] : sessions_) {
+    if (!s.cursor.degraded) total += s.group->filter.units(s.cursor);
   }
   return total;
 }
 
 std::size_t ReSyncMaster::history_units() const {
+  // Summed per group: each group keeps its cursors' total in O(1).
   std::size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (const auto& [cookie, session] : shard->sessions) {
-      total += session.session->history_units();
+    for (const auto& [handle, group] : shard->groups) {
+      total += group->filter.units();
+    }
+  }
+  return total;
+}
+
+std::size_t ReSyncMaster::retained_events() const {
+  std::size_t total = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    for (const auto& [handle, group] : shard->groups) {
+      total += group->filter.retained();
     }
   }
   return total;
@@ -818,22 +788,15 @@ std::size_t ReSyncMaster::history_units() const {
 
 std::size_t ReSyncMaster::replay_cache_bytes() const {
   std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (const auto& [cookie, session] : shard->sessions) {
-      total += session.replay_bytes;
-    }
-  }
+  for (const auto& [id, session] : sessions_) total += session.replay_bytes;
   return total;
 }
 
 std::size_t ReSyncMaster::degraded_sessions() const {
-  std::size_t count = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (const auto& [cookie, session] : shard->sessions) {
-      if (session.session->degraded()) ++count;
-    }
-  }
-  return count;
+  return static_cast<std::size_t>(
+      std::count_if(sessions_.begin(), sessions_.end(), [](const auto& entry) {
+        return entry.second.cursor.degraded;
+      }));
 }
 
 }  // namespace fbdr::resync

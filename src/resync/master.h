@@ -15,7 +15,7 @@
 #include "resync/pump_pool.h"
 #include "server/directory_server.h"
 #include "sync/change_router.h"
-#include "sync/query_session.h"
+#include "sync/filter_group.h"
 
 namespace fbdr::resync {
 
@@ -42,11 +42,15 @@ namespace fbdr::resync {
 /// idempotently; an out-of-sequence poll is rejected. reset() models a
 /// master restart that loses all session state (§5.2).
 ///
-/// Scaling (DESIGN.md §13): sessions are partitioned into N shards by a hash
-/// of the session id. Each shard owns its sessions, its own ChangeRouter
-/// indexes, normalized-value cache, expiry queue and dirty-session list —
-/// pump() routes the journal batch through every shard independently, so the
-/// shards can run on a thread pool without any cross-shard locking.
+/// Filter groups (DESIGN.md §7): sessions whose queries share a canonical
+/// key (base, scope, filter IR, attributes) share one sync::FilterGroup — one
+/// content tracker and one event log — and each session is a cursor into it.
+///
+/// Scaling (DESIGN.md §13): groups are partitioned into N shards by a hash
+/// of the group key. Each shard owns its groups, its own ChangeRouter
+/// indexes, normalized-value cache and dirty-group list — pump() routes the
+/// journal batch through every shard independently, so the shards can run
+/// on a thread pool without any cross-shard locking.
 /// Governor accounting from the parallel phase lands in per-shard counter
 /// deltas folded at the pump barrier. The default (shards=1, threads=0) is
 /// the bit-identical serial master; any shard/thread combination produces
@@ -72,9 +76,9 @@ class ReSyncMaster : public ReSyncEndpoint {
     return governor_.stats();
   }
 
-  /// Partitions sessions into `shards` hash partitions, each with its own
-  /// router indexes, caches, expiry queue and dirty list (DESIGN.md §13).
-  /// Must be called while no sessions are live (typically right after
+  /// Partitions filter groups into `shards` hash partitions, each with its
+  /// own router indexes, cache and dirty list (DESIGN.md §13). Must be
+  /// called while no sessions or walks are live (typically right after
   /// construction or a reset()); throws std::logic_error otherwise — live
   /// router registrations cannot be rehashed in place. shards=1 (the
   /// default) is the exact serial master.
@@ -129,9 +133,10 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// order and re-checks the global history budget.
   void pump();
 
-  /// Candidate-set statistics, folded across the shard routers. candidates
-  /// and exhaustive are globally meaningful sums; routed_changes counts
-  /// per-shard route invocations (shards x records).
+  /// Candidate-set statistics, folded across the shard routers. The router
+  /// registers groups, so candidates and exhaustive count groups; both are
+  /// globally meaningful sums. routed_changes counts per-shard route
+  /// invocations (shards x records).
   sync::ChangeRouter::Stats routing_stats() const;
 
   /// Advances the logical clock and expires idle poll sessions.
@@ -153,7 +158,7 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// consuming session history a second time.
   std::uint64_t replays_suppressed() const noexcept { return replays_; }
 
-  std::size_t session_count() const noexcept;
+  std::size_t session_count() const noexcept { return sessions_.size(); }
 
   /// Open persist connections — the scaling concern that motivates polling
   /// ("persistent search requires a TCP connection per replicated filter").
@@ -165,6 +170,10 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// Governed history accounting units across sessions: pending events for
   /// complete-history sessions plus touched keys for degraded ones.
   std::size_t history_units() const;
+
+  /// Events the group logs still hold for their on-log cursors: the memory
+  /// behind history_size(), which degraded sessions no longer pin.
+  std::size_t retained_events() const;
 
   /// Approximate entry-body bytes currently held by replay caches.
   std::size_t replay_cache_bytes() const;
@@ -178,9 +187,11 @@ class ReSyncMaster : public ReSyncEndpoint {
 
  private:
   struct Shard;
+  struct Group;
 
   struct Session {
-    std::unique_ptr<sync::QuerySession> session;
+    sync::GroupCursor cursor;      // position in the group's event log
+    Group* group = nullptr;
     Mode mode = Mode::Poll;
     std::uint64_t last_active = 0;
     std::uint64_t next_seq = 1;    // sequence the next fresh poll must carry
@@ -189,10 +200,7 @@ class ReSyncMaster : public ReSyncEndpoint {
     std::size_t replay_bytes = 0;  // entry-body bytes held by the cache
     bool replay_stripped = false;  // bodies dropped: replays re-enumerate
     std::string current_cookie;    // most recently issued cookie
-    sync::ChangeRouter::Handle route = sync::ChangeRouter::kInvalidHandle;
-    bool dirty = false;            // on the owning shard's dirty list
     std::string id;                // session id ("rs-<n>")
-    Shard* shard = nullptr;        // owning shard (stable address)
     /// Continuation pages of a paged logical batch, drained by later polls
     /// before any new batch is computed.
     std::vector<EntryPdu> overflow;
@@ -201,27 +209,34 @@ class ReSyncMaster : public ReSyncEndpoint {
     bool overflow_reload = false;
   };
 
-  /// One session-hash partition. Everything a pump worker touches while
-  /// processing the shard lives here (or in the session objects the shard
-  /// owns); the only shared inputs are immutable during pump — the journal
-  /// batch, entry snapshots, schema and interner. Governor counters
+  /// One filter group: the shared tracker and event log, its router
+  /// registration and its member sessions (DESIGN.md §7).
+  struct Group {
+    sync::FilterGroup filter;
+    std::string key;               // also picks the owning shard
+    sync::ChangeRouter::Handle route = sync::ChangeRouter::kInvalidHandle;
+    std::vector<Session*> members;
+    bool dirty = false;            // on the owning shard's dirty list
+
+    Group(const ldap::Query& query, const ldap::Schema& schema)
+        : filter(query, schema) {}
+  };
+
+  /// One group-key hash partition. Everything a pump worker touches while
+  /// processing the shard lives here (or in the groups and member sessions
+  /// the shard owns); the only shared inputs are immutable during pump — the
+  /// journal batch, entry snapshots, schema and interner. Governor counters
   /// incremented on the parallel path accumulate in `delta` and are folded
   /// into the global stats at the pump barrier.
   struct Shard {
-    std::map<std::string, Session> sessions;
     sync::ChangeRouter router;
     ldap::NormalizedValueCache cache;
-    /// Router handle -> session (map nodes are pointer-stable).
-    std::unordered_map<sync::ChangeRouter::Handle, Session*> by_handle;
-    /// last_active at insertion -> session id, with lazy deletion: a node
-    /// whose session was touched or dropped since insertion is discarded or
-    /// re-inserted when it reaches the front, so tick() no longer scans
-    /// every session.
-    std::multimap<std::uint64_t, std::string> expiry;
-    /// Sessions some record touched during the current pump: the serial
-    /// push/clear phase walks exactly these instead of every session
-    /// (O(dirty), not O(sessions)).
-    std::vector<Session*> dirty;
+    /// Router handle -> group.
+    std::unordered_map<sync::ChangeRouter::Handle, std::unique_ptr<Group>>
+        groups;
+    /// Groups some record touched during the current pump: the serial push
+    /// phase walks exactly these (O(dirty), not O(sessions)).
+    std::vector<Group*> dirty;
     /// Parallel-phase governor counters, folded at the pump barrier.
     GovernorStats delta;
 
@@ -229,13 +244,14 @@ class ReSyncMaster : public ReSyncEndpoint {
   };
 
   /// One in-flight reconciliation walk: round 1 answered with the divergent
-  /// bucket list, round 2 (fingerprints -> diff) pending. The provisional
-  /// QuerySession is promoted to a real session when the walk completes.
-  /// Walk cookies ("rc-<n>#<seq>") follow the same replay discipline as
-  /// session cookies: a duplicated round-2 request is re-answered from
-  /// last_response without re-running the diff.
+  /// bucket list, round 2 (fingerprints -> diff) pending. The walk holds an
+  /// ungoverned cursor on its group from round 1, so changes pumped between
+  /// the rounds ship with the diff. Walk cookies ("rc-<n>#<seq>") follow the
+  /// same replay discipline as session cookies: a duplicated round-2 request
+  /// is re-answered from last_response without re-running the diff.
   struct PendingReconcile {
-    std::unique_ptr<sync::QuerySession> session;
+    Group* group = nullptr;        // null once completed
+    sync::GroupCursor cursor;
     Mode mode = Mode::Poll;
     std::vector<std::uint32_t> need_buckets;
     std::uint64_t last_active = 0;
@@ -257,34 +273,30 @@ class ReSyncMaster : public ReSyncEndpoint {
   static std::string make_cookie(const std::string& id, std::uint64_t seq);
 
   std::string new_session_id();
-  /// The shard owning session id `id` (stable FNV-1a hash partition).
-  Shard& shard_for(const std::string& id);
-  /// Locates a live session by id; iterator is end() of its shard's map
-  /// when unknown.
-  std::map<std::string, Session>::iterator find_session(const std::string& id,
-                                                        Shard*& shard);
+  ReSyncResponse busy();
+  /// The shard owning group key `key` (stable FNV-1a hash partition).
+  Shard& shard_for(const std::string& key);
   /// Runs `fn` once per shard — inline when threads=0 or there is a single
   /// shard, otherwise across the pump pool.
   void run_on_shards(const std::function<void(Shard&)>& fn);
   void account(const std::vector<EntryPdu>& pdus);
-  /// Feeds one record into one session and mirrors the resulting content
-  /// events into the owning shard's holder index. Parallel-phase safe: all
-  /// mutated state is shard-local; governor counters go to `delta`.
-  void apply_change(Shard& shard, Session& session,
-                    const server::ChangeRecord& record,
-                    ldap::NormalizedValueCache* cache);
-  /// Mirrors content events into the owning shard's holder index.
-  static void mirror_events(Shard& shard, Session& session,
-                            const std::vector<sync::ContentEvent>& events);
+  /// The group answering `query`: the live group of its key, or a new one
+  /// scanned from the DIT. Pumps any unpumped records first, so either way
+  /// the content is the DIT's.
+  Group& join_group(const ldap::Query& query);
+  /// Drops `group` once no session or walk holds a cursor on it.
+  void release_group(Group& group);
+  /// Feeds one record into one group, mirrors its content events into the
+  /// owning shard's holder index and applies the per-session budget to its
+  /// members. Parallel-phase safe: all mutated state is shard-local.
+  void apply_events(Shard& shard, Group& group,
+                    const std::vector<sync::ContentEvent>& events);
   /// Degrades (and if necessary collapses) an over-budget poll session.
   void enforce_session_history(Session& session, GovernorStats& stats);
   /// Degrades/collapses the largest poll sessions until the total history
   /// fits the global budget. Victim order is deterministic across shard
   /// counts: largest first, ties by session id.
   void enforce_global_history();
-  /// Rebases one shard's sessions from the DIT after journal compaction left
-  /// a gap that cannot be replayed.
-  void rebase_shard(Shard& shard);
   /// Fills the response from freshly computed PDUs, spilling anything past
   /// the page size into the session's overflow queue (`more` set).
   void paginate(Session& session, std::vector<EntryPdu> pdus, bool full_reload,
@@ -294,15 +306,9 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// Caches the response for replays, accounting (and if over budget
   /// stripping) its entry bodies.
   void cache_response(Session& session, const ReSyncResponse& response);
-  /// Unregisters the session from its shard's router (releasing holder
-  /// entries) and erases it. Used by sync_end, abandon and expiry.
-  void drop_session(Shard& shard, std::map<std::string, Session>::iterator it);
-  /// Installs an initialized QuerySession as a live session under `id` in
-  /// its hash shard: registers the router route, seeds the holder mirror
-  /// from the tracked content and queues the expiry node.
-  Session& adopt_session(const std::string& id,
-                         std::unique_ptr<sync::QuerySession> query_session,
-                         Mode mode);
+  /// Detaches a session from its group and erases it (sync_end, abandon,
+  /// expiry).
+  void drop_session(const std::string& id);
   /// Common response tail: activity stamp, traffic accounting, origin time,
   /// persistence flag and the replay cache.
   void finalize(Session& session, const ReSyncControl& control,
@@ -311,18 +317,32 @@ class ReSyncMaster : public ReSyncEndpoint {
   /// in_sync / need_buckets / fallback (DESIGN.md §12).
   ReSyncResponse handle_reconcile_round1(const ldap::Query& query,
                                          const ReSyncControl& control);
-  /// Round 2: fingerprints -> exact diff; promotes the provisional session.
+  /// Round 2: fingerprints -> exact diff; promotes the walk to a session.
   ReSyncResponse handle_reconcile_round2(PendingReconcile& pending,
                                          const CookieParts& parts,
                                          const ReSyncControl& control);
+  /// Admits a session with a cursor at the end of `group`'s log, queues its
+  /// expiry node and answers it with `pdus`.
+  ReSyncResponse open_session(Group& group, const ReSyncControl& control,
+                              std::vector<EntryPdu> pdus, bool full_reload,
+                              std::shared_ptr<ReconcileResponse> reconcile);
   /// Ships the full content instead of walking (cap hit or diverged too far).
-  ReSyncResponse reconcile_fallback(std::unique_ptr<sync::QuerySession> qs,
-                                    const ReSyncControl& control);
+  ReSyncResponse reconcile_fallback(Group& group, const ReSyncControl& control);
+  /// Ends a walk, releasing its cursor.
+  void end_walk(PendingReconcile& pending);
 
   server::DirectoryServer* master_;
-  /// Session-hash partitions; unique_ptr keeps shard addresses stable for
-  /// Session::shard back-pointers. Always at least one shard.
+  /// Group-key hash partitions. Always at least one shard.
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Session id -> session (cookie lookup; node addresses are stable).
+  std::unordered_map<std::string, Session> sessions_;
+  /// Group key -> the live group of that key.
+  std::unordered_map<std::string, Group*> groups_by_key_;
+  /// last_active at insertion -> session id, with lazy deletion: a node
+  /// whose session was touched or dropped since insertion is discarded or
+  /// re-inserted when it reaches the front, so tick() does not scan every
+  /// session.
+  std::multimap<std::uint64_t, std::string> expiry_;
   std::map<std::string, PendingReconcile> pending_reconciles_;
   std::unique_ptr<PumpPool> pool_;
   NotificationSink sink_;

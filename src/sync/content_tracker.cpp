@@ -60,6 +60,17 @@ void ContentTracker::initialize(const server::Dit& dit) {
   });
 }
 
+ContentEvent ContentTracker::enter(std::uint64_t seq, const Dn& dn,
+                                   const EntryPtr& after) {
+  // A tracker initialized from a DIT that already reflects an unpumped
+  // record sees that record's target in content: the record then updates
+  // the entry rather than entering it, so Enter always means "was outside".
+  const std::string& key = dn.norm_key();
+  const bool entered = content_.insert_or_assign(key, after).second;
+  digest_.upsert(key, *after);
+  return {seq, entered ? Transition::Enter : Transition::Update, dn, after};
+}
+
 bool ContentTracker::in_content(const Dn& dn) const {
   return content_.count(dn.norm_key()) > 0;
 }
@@ -71,64 +82,37 @@ std::vector<std::string> ContentTracker::content_keys() const {
   return keys;
 }
 
+void ContentTracker::leave(std::uint64_t seq, const Dn& dn,
+                           std::vector<ContentEvent>& events) {
+  if (content_.erase(dn.norm_key()) == 0) return;
+  digest_.erase(dn.norm_key());
+  events.push_back({seq, Transition::Leave, dn, nullptr});
+}
+
 std::vector<ContentEvent> ContentTracker::on_change(
     const ChangeRecord& record, ldap::NormalizedValueCache* cache) {
   std::vector<ContentEvent> events;
+  const bool now_in = record.type != ChangeType::Delete && record.after &&
+                      matches_query(record.after, cache);
   switch (record.type) {
-    case ChangeType::Add: {
-      if (record.after && matches_query(record.after, cache)) {
-        const std::string key = record.dn.norm_key();
-        content_[key] = record.after;
-        digest_.upsert(key, *record.after);
-        events.push_back({record.seq, Transition::Enter, record.dn, record.after});
-      }
+    case ChangeType::Add:
+      if (now_in) events.push_back(enter(record.seq, record.dn, record.after));
       break;
-    }
-    case ChangeType::Delete: {
-      const std::string key = record.dn.norm_key();
-      if (content_.erase(key) > 0) {
-        digest_.erase(key);
-        events.push_back({record.seq, Transition::Leave, record.dn, nullptr});
-      }
-      break;
-    }
-    case ChangeType::Modify: {
-      const bool was_in = in_content(record.dn);
-      const bool now_in = record.after && matches_query(record.after, cache);
-      const std::string key = record.dn.norm_key();
-      if (was_in && now_in) {
-        content_[key] = record.after;
-        digest_.upsert(key, *record.after);
-        events.push_back({record.seq, Transition::Update, record.dn, record.after});
-      } else if (was_in && !now_in) {
-        content_.erase(key);
-        digest_.erase(key);
-        events.push_back({record.seq, Transition::Leave, record.dn, nullptr});
-      } else if (!was_in && now_in) {
-        content_[key] = record.after;
-        digest_.upsert(key, *record.after);
-        events.push_back({record.seq, Transition::Enter, record.dn, record.after});
-      }
-      break;
-    }
-    case ChangeType::ModifyDn: {
-      const bool was_in = in_content(record.dn);
-      const bool now_in = record.after && matches_query(record.after, cache);
-      if (was_in) {
-        const std::string key = record.dn.norm_key();
-        content_.erase(key);
-        digest_.erase(key);
-        events.push_back({record.seq, Transition::Leave, record.dn, nullptr});
-      }
+    case ChangeType::Modify:
+      // In content afterwards: Enter, or Update when it already was.
       if (now_in) {
-        const std::string key = record.new_dn.norm_key();
-        content_[key] = record.after;
-        digest_.upsert(key, *record.after);
-        events.push_back(
-            {record.seq, Transition::Enter, record.new_dn, record.after});
+        events.push_back(enter(record.seq, record.dn, record.after));
+      } else {
+        leave(record.seq, record.dn, events);
       }
       break;
-    }
+    case ChangeType::Delete:
+      leave(record.seq, record.dn, events);
+      break;
+    case ChangeType::ModifyDn:
+      leave(record.seq, record.dn, events);
+      if (now_in) events.push_back(enter(record.seq, record.new_dn, record.after));
+      break;
   }
   return events;
 }

@@ -40,7 +40,7 @@ struct ContentEvent {
 /// session shows for E3 -> E5.
 ///
 /// Concurrency contract (sharded pump, DESIGN.md §13): a tracker belongs to
-/// exactly one session and is only driven by the session's owning shard
+/// exactly one filter group and is only driven by the group's owning shard
 /// worker — on_change() mutates the tracked content and is never called
 /// concurrently on one tracker. Its shared inputs are safe by immutability:
 /// ChangeRecord snapshots, EntryPtr bodies, the Schema and the compiled
@@ -88,7 +88,7 @@ class ContentTracker {
                      ldap::NormalizedValueCache* cache) const;
 
   /// The filter compiled once at construction; the ChangeRouter indexes
-  /// sessions by its referenced attribute ids and equality pins.
+  /// filter groups by its referenced attribute ids and equality pins.
   const ldap::CompiledFilter& compiled_filter() const noexcept {
     return compiled_;
   }
@@ -99,6 +99,13 @@ class ContentTracker {
 
  private:
   bool in_region(const ldap::Dn& dn) const;
+  /// Stores `after` under `dn`: an Enter event, or an Update when the key
+  /// was already in content.
+  ContentEvent enter(std::uint64_t seq, const ldap::Dn& dn,
+                     const ldap::EntryPtr& after);
+  /// Drops `dn` from content, appending a Leave event if it was there.
+  void leave(std::uint64_t seq, const ldap::Dn& dn,
+             std::vector<ContentEvent>& events);
 
   ldap::Query query_;
   ldap::FilterIrPtr ir_;

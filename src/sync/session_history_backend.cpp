@@ -10,17 +10,19 @@ SessionHistoryBackend::SessionHistoryBackend(const server::Dit& master_dit,
 
 std::size_t SessionHistoryBackend::register_query(const ldap::Query& query) {
   Slot slot;
-  slot.session = std::make_unique<QuerySession>(query, *schema_);
+  slot.group = std::make_unique<FilterGroup>(query, *schema_);
   slots_.push_back(std::move(slot));
   return slots_.size() - 1;
 }
 
 const ContentTracker& SessionHistoryBackend::tracker(std::size_t id) const {
-  return slots_.at(id).session->tracker();
+  return slots_.at(id).group->tracker();
 }
 
 void SessionHistoryBackend::unregister_query(std::size_t id) {
-  slots_.at(id).active = false;
+  Slot& slot = slots_.at(id);
+  if (slot.active && slot.initialized) slot.group->detach(slot.cursor);
+  slot.active = false;
 }
 
 UpdateBatch SessionHistoryBackend::initial(std::size_t id) {
@@ -28,12 +30,16 @@ UpdateBatch SessionHistoryBackend::initial(std::size_t id) {
   if (!slot.active) {
     throw ldap::ProtocolError("initial() on an unregistered query");
   }
-  return slot.session->initial(*dit_);
+  if (slot.initialized) slot.group->detach(slot.cursor);
+  slot.group->initialize(*dit_);
+  slot.group->attach(slot.cursor);
+  slot.initialized = true;
+  return slot.group->content_batch();
 }
 
 void SessionHistoryBackend::on_change(const server::ChangeRecord& record) {
   for (Slot& slot : slots_) {
-    if (slot.active) slot.session->on_change(record);
+    if (slot.active && slot.initialized) slot.group->on_change(record);
   }
 }
 
@@ -42,14 +48,14 @@ UpdateBatch SessionHistoryBackend::poll(std::size_t id) {
   if (!slot.active) {
     throw ldap::ProtocolError("poll() on an unregistered query");
   }
-  if (!slot.session->initialized()) return slot.session->initial(*dit_);
-  return slot.session->poll();
+  if (!slot.initialized) return initial(id);
+  return slot.group->poll(slot.cursor);
 }
 
 std::size_t SessionHistoryBackend::pending_events() const {
   std::size_t total = 0;
   for (const Slot& slot : slots_) {
-    if (slot.active) total += slot.session->pending_events();
+    if (slot.active && slot.initialized) total += slot.group->units(slot.cursor);
   }
   return total;
 }

@@ -5,15 +5,15 @@
 
 #include "server/dit.h"
 #include "sync/backend.h"
-#include "sync/query_session.h"
+#include "sync/filter_group.h"
 
 namespace fbdr::sync {
 
 /// The ReSync computation (§5.2) behind the SyncBackend interface: the master
 /// keeps, per replicated query, a content tracker plus the session history —
 /// the events accumulated since the replica's last poll. Each poll returns
-/// the minimal update set of equation (2). See QuerySession for the
-/// compaction rules.
+/// the minimal update set of equation (2). Each registered query is one
+/// cursor on its own FilterGroup; see FilterGroup for the compaction rules.
 class SessionHistoryBackend : public SyncBackend {
  public:
   explicit SessionHistoryBackend(
@@ -38,7 +38,9 @@ class SessionHistoryBackend : public SyncBackend {
 
  private:
   struct Slot {
-    std::unique_ptr<QuerySession> session;
+    std::unique_ptr<FilterGroup> group;
+    GroupCursor cursor;
+    bool initialized = false;
     bool active = true;
   };
 

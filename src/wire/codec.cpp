@@ -1,5 +1,7 @@
 #include "wire/codec.h"
 
+#include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "ldap/error.h"
@@ -145,10 +147,13 @@ class Reader {
     return (hi << 32) | u32();
   }
 
-  std::string str() {
+  std::string str() { return std::string(view()); }
+
+  /// A length-prefixed string as a view into the payload (no copy).
+  std::string_view view() {
     const std::uint32_t len = u32();
     need(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+    const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
     return s;
   }
@@ -188,10 +193,12 @@ void put_dn(Writer& w, const ldap::Dn& dn) {
 ldap::Dn get_dn(Reader& r) {
   const std::uint32_t count = r.u32();
   std::vector<ldap::Rdn> rdns;
+  // Each RDN takes at least its two length prefixes: a hostile count fails
+  // on the remaining bytes instead of reserving memory.
+  rdns.reserve(std::min<std::size_t>(count, r.remaining() / 8));
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string type = r.str();
-    const std::string value = r.str();
-    rdns.emplace_back(type, value);
+    const std::string_view type = r.view();
+    rdns.emplace_back(type, r.view());
   }
   return ldap::Dn::from_rdns(std::move(rdns));
 }
@@ -290,10 +297,11 @@ ldap::EntryPtr get_entry(Reader& r) {
   auto entry = std::make_shared<ldap::Entry>(get_dn(r));
   const std::uint32_t attrs = r.u32();
   for (std::uint32_t i = 0; i < attrs; ++i) {
-    const std::string name = r.str();
+    const std::string_view name = r.view();
     const std::uint32_t count = r.u32();
     std::vector<std::string> values;
-    for (std::uint32_t j = 0; j < count; ++j) values.push_back(r.str());
+    values.reserve(std::min<std::size_t>(count, r.remaining() / 4));
+    for (std::uint32_t j = 0; j < count; ++j) values.emplace_back(r.view());
     entry->set_values(name, std::move(values));
   }
   return entry;

@@ -186,6 +186,39 @@ TEST(GovernorHistory, GlobalBudgetDegradesTheLargestSessions) {
   EXPECT_EQ(cold.content().keys(), master_truth(*master, other));
 }
 
+TEST(GovernorHistory, DegradedSessionPinsNoEventLog) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  ResourceLimits limits;
+  limits.max_session_history = 3;
+  resync.set_resource_limits(limits);
+
+  // Both replicas share one filter group; only `fast` keeps polling.
+  ReSyncReplica fast(resync, kQuery);
+  fast.start(Mode::Poll);
+  ReSyncReplica slow(resync, kQuery);
+  slow.start(Mode::Poll);
+
+  for (int i = 0; i < 300; ++i) {
+    master->modify(Dn::parse("cn=E" + std::to_string(i % 2 * 2) + ",o=xyz"),
+                   {{Modification::Op::Replace, "title",
+                     {"t" + std::to_string(i)}}});
+    resync.pump();
+    fast.poll();
+    // Until it degrades, slow pins at most its budget of events; degraded,
+    // it keeps two touched keys and pins none.
+    ASSERT_LE(resync.retained_events(), limits.max_session_history)
+        << "change " << i;
+  }
+  EXPECT_EQ(resync.retained_events(), 0u);
+  EXPECT_EQ(resync.degraded_sessions(), 1u);
+  EXPECT_EQ(resync.history_units(), 2u);
+
+  slow.poll();
+  EXPECT_EQ(slow.degraded_polls(), 1u);
+  EXPECT_EQ(slow.content().keys(), master_truth(*master));
+}
+
 TEST(GovernorReplay, StrippedReplayAnswersWithASnapshotEnumeration) {
   auto master = make_master();
   ReSyncMaster resync(*master);

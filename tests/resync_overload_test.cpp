@@ -134,6 +134,10 @@ TEST(ResyncOverload, FourLeafSlowConsumerSoakStaysWithinBudgets) {
     // footprint is bounded no matter what its consumers do.
     ASSERT_LE(governed.history_units(), limits.max_total_history)
         << "history budget exceeded at tick " << tick;
+    // ...and the units are what the group logs hold: a degraded or absent
+    // consumer pins no events.
+    ASSERT_LE(governed.retained_events(), limits.max_total_history)
+        << "event log outgrew the history budget at tick " << tick;
     ASSERT_LE(governed.replay_cache_bytes(),
               limits.max_replay_bytes * limits.max_sessions)
         << "replay budget exceeded at tick " << tick;

@@ -21,6 +21,7 @@
 #include "resync/replica_client.h"
 #include "server/directory_server.h"
 #include "sync/content_tracker.h"
+#include "sync/replica_content.h"
 #include "topology/relay_node.h"
 #include "topology/runtime.h"
 
@@ -267,6 +268,62 @@ TEST(ReSyncReconcile, Round2RepliesAreReplaySafe) {
   ASSERT_NE(walk2.reconcile, nullptr);
   EXPECT_THROW(resync.handle(kQuery, {Mode::Poll, walk2.cookie}),
                ldap::ProtocolError);
+}
+
+// A change pumped between round 1 and round 2 must reach the replica: the
+// walk holds a cursor from round 1, so round 2 ships the fingerprint diff for
+// the flagged buckets plus what changed since round 1 everywhere else.
+TEST(ReSyncReconcile, ChangePumpedBetweenRoundsShips) {
+  auto master = make_master();
+  ReSyncMaster resync(*master);
+  ReSyncReplica replica(resync, kQuery);
+  replica.start(Mode::Poll);
+  resync.reset();
+  master->modify(Dn::parse("cn=E2,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"chief"}}});
+
+  auto offer = std::make_shared<ReconcileRequest>();
+  offer->root_digest = replica.content().digest().root();
+  offer->entry_count = replica.content().digest().entry_count();
+  offer->buckets = replica.content().digest().bucket_digests();
+  ReSyncControl round1;
+  round1.reconcile = offer;
+  const ReSyncResponse walk = resync.handle(kQuery, round1);
+  ASSERT_NE(walk.reconcile, nullptr);
+  ASSERT_FALSE(walk.reconcile->need_buckets.empty());
+
+  // Between the rounds: E4 changes and the master pumps.
+  master->modify(Dn::parse("cn=E4,o=xyz"),
+                 {{Modification::Op::Replace, "title", {"between"}}});
+  resync.pump();
+
+  auto upload = std::make_shared<ReconcileRequest>();
+  upload->round = 2;
+  upload->fingerprints =
+      replica.content().fingerprints_for(walk.reconcile->need_buckets);
+  ReSyncControl round2{Mode::Poll, walk.cookie};
+  round2.reconcile = upload;
+  const ReSyncResponse diff = resync.handle(kQuery, round2);
+  const ReSyncResponse next = resync.handle(kQuery, {Mode::Poll, diff.cookie});
+
+  sync::ReplicaContent healed = replica.content();
+  bool shipped_e4 = false;
+  for (const ReSyncResponse* response : {&diff, &next}) {
+    healed.apply(from_pdus(response->pdus, response->full_reload,
+                           response->complete_enumeration));
+    for (const EntryPdu& pdu : response->pdus) {
+      if (pdu.dn.to_string() == "cn=E4,o=xyz" && pdu.entry &&
+          pdu.entry->get("title") != nullptr &&
+          pdu.entry->get("title")->front() == "between") {
+        shipped_e4 = true;
+      }
+    }
+  }
+  EXPECT_TRUE(shipped_e4) << "the change pumped between rounds was lost";
+  EXPECT_EQ(healed.keys(), master_truth(*master));
+  sync::ContentTracker truth(kQuery);
+  truth.initialize(master->dit());
+  EXPECT_EQ(healed.digest().root(), truth.digest().root());
 }
 
 TEST(ReSyncReconcile, AbandonedWalkExpiresLikeASession) {
